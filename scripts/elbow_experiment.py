@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep k over owner training segments and print the SSE elbow curve.
+"""Sweep k over owner training windows and print the SSE elbow curve.
 
 Usage: python scripts/elbow_experiment.py <corpus_dir> [--feature NAME]
                                           [--k-max 40] [--seed 7]
@@ -8,29 +8,31 @@ Usage: python scripts/elbow_experiment.py <corpus_dir> [--feature NAME]
 import argparse
 import sys
 
+import numpy as np
+
 from theftdetect import cli, cluster, windowing
 from theftdetect.cli import RunConfig
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("corpus_dir")
     parser.add_argument("--feature", default="transmission_oil_temperature")
     parser.add_argument("--k-max", type=int, default=40)
     parser.add_argument("--step", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = RunConfig(data_dir=args.corpus_dir, seed=args.seed)
     manifest_trips = cli.load_corpus_trips(cfg, roles={"train"})
     wcfg = cfg.window_config()
-    segments = []
-    for _, trip in manifest_trips:
-        segments.extend(windowing.slide_highlighted(trip.features[args.feature], wcfg, args.feature))
-    print(f"{len(segments)} training segments for {args.feature}")
+    windows = np.concatenate(
+        [windowing.slide_highlighted(trip.features[args.feature], wcfg) for _, trip in manifest_trips]
+    )
+    print(f"{len(windows)} training windows for {args.feature}")
 
-    k_values = list(range(1, min(args.k_max, len(segments)) + 1, args.step))
-    curve = cluster.elbow_sweep(segments, k_values, seed=args.seed, restarts=3, cfg=wcfg)
+    k_values = list(range(1, min(args.k_max, len(windows)) + 1, args.step))
+    curve = cluster.elbow_sweep(windows, args.feature, k_values, seed=args.seed, restarts=3, cfg=wcfg)
     for k, sse in curve.points:
         marker = "  <- recommended" if k == curve.recommended_k else ""
         print(f"k={k:4d}  sse={sse:14.4f}{marker}")

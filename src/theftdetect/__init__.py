@@ -1,8 +1,9 @@
 """Owner-only automobile theft detection from CAN-derived trip time series.
 
-Pipeline: ingest trip CSVs -> select essential features -> slide + highlight
-windows -> per-feature k-means codebooks -> nearest-centroid reconstruction ->
-windowed reconstruction-error thresholding -> majority-of-5 ensemble.
+Pipeline: ingest trip CSVs -> select essential features -> highlighted
+(n_windows, window_len) matrix per feature -> per-feature k-means codebooks ->
+batched nearest-centroid reconstruction -> per-window mean error > threshold
+-> majority-of-5 vote over the (models, windows) theft matrix.
 """
 
 __version__ = "0.1.0"

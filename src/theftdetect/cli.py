@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import cluster, detect, ingest, reconstruct, synth, windowing
 from .cluster import Codebook, InfeasibleKError
-from .detect import DetectionConfig, Verdict
+from .detect import DetectionConfig
 from .ingest import TripLog
 from .windowing import WindowConfig
 
@@ -44,7 +45,6 @@ class RunConfig:
     detection_window_s: float = 32.0
     k: int = 300  # capped at the feasible segment count unless strict_k
     strict_k: bool = False
-    elbow_k_values: tuple[int, ...] = ()
     seed: int = 7
     restarts: int = 5
     max_iter: int = 100
@@ -64,6 +64,11 @@ class RunConfig:
             filter_name=self.filter_name,
         )
 
+    def detection_config(self) -> DetectionConfig:
+        return DetectionConfig(
+            sample_period_s=self.sample_period_s, detection_window_s=self.detection_window_s
+        )
+
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
 
@@ -79,8 +84,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "val_ratio" in values and not isinstance(values["val_ratio"], tuple):
         values["val_ratio"] = tuple(values["val_ratio"])
-    if "elbow_k_values" in values:
-        values["elbow_k_values"] = tuple(values["elbow_k_values"])
     cfg = RunConfig(**values)
     if cfg.val_ratio[0] <= 0 or cfg.val_ratio[1] <= 0:
         raise ConfigError("validation ratio components must be positive")
@@ -119,6 +122,18 @@ def essential_features_path(models_dir: str | Path) -> Path:
     return Path(models_dir) / "features.json"
 
 
+def write_features(
+    path: Path, essential: list[str], decisions: list[ingest.SelectionDecision]
+) -> None:
+    doc = {
+        "essential": essential,
+        "decisions": [
+            {"feature": d.feature, "kept": d.kept, "reason": d.reason} for d in decisions
+        ],
+    }
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def train_codebooks(
     owner_trips: list[TripLog], essential: list[str], cfg: RunConfig
 ) -> dict[str, Codebook]:
@@ -126,55 +141,47 @@ def train_codebooks(
     books: dict[str, Codebook] = {}
     trip_ids = tuple(t.trip_id for t in owner_trips)
     for feature in essential:
-        segments = []
-        for trip in owner_trips:
-            segments.extend(windowing.slide_highlighted(trip.features[feature], wcfg, feature))
-        if cfg.strict_k:
-            k = cfg.k
-        else:
-            k = min(cfg.k, len(segments), len({tuple(s.values) for s in segments}))
+        windows = np.concatenate(
+            [windowing.slide_highlighted(trip.features[feature], wcfg) for trip in owner_trips]
+        )
         books[feature] = cluster.kmeans_fit(
-            segments,
-            k,
+            windows,
+            feature,
+            cfg.k,
             seed=cfg.seed,
             max_iter=cfg.max_iter,
             tol=cfg.tol,
             restarts=cfg.restarts,
             cfg=wcfg,
             trip_ids=trip_ids,
+            strict_k=cfg.strict_k,
         )
     return books
 
 
-def trip_model_verdicts(
-    trip: TripLog, books: dict[str, Codebook], thresholds: dict[str, float], cfg: RunConfig
-) -> tuple[dict[str, list[Verdict]], int]:
-    """Per-feature verdicts for one trip plus the assembled error length."""
-    verdicts: dict[str, list[Verdict]] = {}
-    assembled_len = 0
+def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook], cfg: RunConfig) -> np.ndarray:
+    """Representative error per (model, detection window) of one trip, rows in ``books`` order.
+
+    A model's verdict on a window is its error > the model's threshold. Trips
+    with a missing or non-finite sample in a model's feature are rejected.
+    """
+    dcfg = cfg.detection_config()
+    rows = []
     for feature, cb in books.items():
-        if feature not in trip.features:
+        series = trip.features.get(feature)
+        if series is None:
             raise ingest.IngestError(f"trip {trip.trip_id} lacks feature {feature!r}")
-        rec = reconstruct.reconstruct_series(trip.features[feature], cb)
-        err = reconstruct.error_series(rec)
-        dcfg = DetectionConfig(
-            sample_period_s=cfg.sample_period_s,
-            detection_window_s=cfg.detection_window_s,
-            threshold=thresholds.get(feature, 0.0),
-        )
-        verdicts[feature] = detect.windows_verdicts(err, dcfg)
-        assembled_len = len(err.errors)
-    return verdicts, assembled_len
+        if not np.isfinite(series).all():
+            raise ingest.IngestError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
+        err = reconstruct.error_series(reconstruct.reconstruct_series(series, cb))
+        rows.append(detect.windows_verdicts(err, dcfg))
+    return np.stack(rows)
 
 
-def window_labels(sample_labels: np.ndarray, assembled_len: int, detection_len: int) -> list[bool]:
+def window_labels(sample_labels: np.ndarray, n_windows: int, detection_len: int) -> np.ndarray:
     """Ground truth per detection window: theft iff >50% of samples spliced."""
-    labels = sample_labels[:assembled_len]
-    out = []
-    for start in range(0, assembled_len - detection_len + 1, detection_len):
-        chunk = labels[start : start + detection_len]
-        out.append(bool(chunk.sum() * 2 > len(chunk)))
-    return out
+    chunks = sample_labels[: n_windows * detection_len].reshape(n_windows, detection_len)
+    return chunks.sum(axis=1) * 2 > detection_len
 
 
 # --- subcommands --------------------------------------------------------------
@@ -200,14 +207,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     essential, decisions = select_features(trips, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "essential": essential,
-        "decisions": [
-            {"feature": d.feature, "kept": d.kept, "reason": d.reason} for d in decisions
-        ],
-    }
     path = essential_features_path(out_dir)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_features(path, essential, decisions)
     print(f"essential features: {', '.join(essential)}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -222,13 +223,7 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         trips = [t for _, t in load_corpus_trips(cfg)]
         essential, decisions = select_features(trips, cfg)
-        doc = {
-            "essential": essential,
-            "decisions": [
-                {"feature": d.feature, "kept": d.kept, "reason": d.reason} for d in decisions
-            ],
-        }
-        features_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_features(features_file, essential, decisions)
     if len(essential) < ESSENTIAL_TARGET:
         print(
             f"warning: only {len(essential)} essential features survived selection",
@@ -258,61 +253,66 @@ def load_models(models_dir: str | Path) -> dict[str, Codebook]:
         books[cb.feature] = cb
     if not books:
         raise ingest.IngestError(f"no codebooks found in {models_dir}")
+    if len({cb.cfg for cb in books.values()}) > 1:
+        raise cluster.ClusterError(f"codebooks in {models_dir} disagree on their window config")
     return books
 
 
-def load_thresholds(cfg: RunConfig, models_dir: str | Path) -> dict[str, float]:
+def load_thresholds(cfg: RunConfig, models_dir: str | Path, features: list[str]) -> dict[str, float]:
+    """Per-model thresholds; every model in ``features`` needs a finite, nonnegative one."""
     if isinstance(cfg.thresholds, dict):
-        return dict(cfg.thresholds)
-    path = Path(models_dir) / "thresholds.json"
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    raise ConfigError(
-        "no thresholds available: run `evaluate` first or set them in the config"
-    )
+        thresholds = dict(cfg.thresholds)
+    else:
+        path = Path(models_dir) / "thresholds.json"
+        if not path.exists():
+            raise ConfigError(
+                "no thresholds available: run `evaluate` first or set them in the config"
+            )
+        thresholds = json.loads(path.read_text(encoding="utf-8"))
+    for feature in features:
+        theta = thresholds.get(feature)
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < math.inf:
+            raise ConfigError(f"model {feature!r} needs a finite, nonnegative threshold, got {theta!r}")
+    return thresholds
 
 
 def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     books = load_models(models_dir)
-    thresholds = load_thresholds(cfg, models_dir)
+    thresholds = load_thresholds(cfg, models_dir, list(books))
     trip = ingest.parse_trip(trip_path, cfg.sample_period_s)
-    verdicts, _ = trip_model_verdicts(trip, books, thresholds, cfg)
+    errors = trip_model_verdicts(trip, books, cfg)
+    theft = errors > np.array([[thresholds[f]] for f in books])
+    starts = [i * cfg.detection_config().detection_len for i in range(errors.shape[1])]
     report: dict = {"trip_id": trip.trip_id, "models": {}, "ensemble": None}
-    for feature, vlist in verdicts.items():
+    for feature, model_errors, model_theft in zip(books, errors.tolist(), theft.tolist()):
         report["models"][feature] = {
-            "threshold": thresholds.get(feature, 0.0),
+            "threshold": thresholds[feature],
             "verdicts": [
-                {
-                    "window_start": v.window_start,
-                    "representative_error": v.representative_error,
-                    "is_theft": v.is_theft,
-                }
-                for v in vlist
+                {"window_start": s, "representative_error": e, "is_theft": t}
+                for s, e, t in zip(starts, model_errors, model_theft)
             ],
         }
-    if len(verdicts) == detect.ENSEMBLE_SIZE:
-        voted = detect.ensemble_vote(list(verdicts.values()))
+    flagged = theft[0]
+    if len(books) == detect.ENSEMBLE_SIZE:
+        votes = detect.ensemble_vote(theft)
+        flagged = votes >= detect.MAJORITY
         report["ensemble"] = [
-            {
-                "window_start": v.window_start,
-                "theft_votes": int(v.representative_error),
-                "is_theft": v.is_theft,
-            }
-            for v in voted
+            {"window_start": s, "theft_votes": v, "is_theft": t}
+            for s, v, t in zip(starts, votes.tolist(), flagged.tolist())
         ]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"detection_{trip.trip_id}.json"
     detect.write_detection_report(report, path)
-    theft_windows = sum(
-        v["is_theft"] for v in (report["ensemble"] or next(iter(report["models"].values()))["verdicts"])
-    )
-    print(f"wrote {path} ({theft_windows} theft windows)")
+    print(f"wrote {path} ({int(flagged.sum())} theft windows)")
     return EXIT_OK
 
 
-def evaluate(cfg: RunConfig, models_dir: str) -> dict:
-    """Tune per-model thresholds on the validation split and score everything."""
+def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.RocCurve]]:
+    """Tune per-model thresholds on the validation split and score everything.
+
+    Returns the report and the ROC curve of every model whose threshold was tuned.
+    """
     books = load_models(models_dir)
     # splice trips are a localization demo, not part of the 8:2 validation split
     val = load_corpus_trips(cfg, roles={"val-owner", "val-thief"})
@@ -321,17 +321,15 @@ def evaluate(cfg: RunConfig, models_dir: str) -> dict:
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
-    dlen = DetectionConfig(
-        sample_period_s=cfg.sample_period_s, detection_window_s=cfg.detection_window_s
-    ).detection_len
-
-    # per-trip verdicts at threshold 0 expose raw representative errors
-    per_trip: list[dict] = []
+    dlen = cfg.detection_config().detection_len
+    trip_errors, trip_labels = [], []
     for entry, trip in val:
-        verdicts, assembled_len = trip_model_verdicts(trip, books, {}, cfg)
+        trip_errors.append(trip_model_verdicts(trip, books, cfg))
         sample_labels = synth.load_labels(cfg.data_dir, entry["labels"])
-        labels = window_labels(sample_labels, assembled_len, dlen)
-        per_trip.append({"entry": entry, "verdicts": verdicts, "labels": labels})
+        trip_labels.append(window_labels(sample_labels, trip_errors[-1].shape[1], dlen))
+    # one row per model, validation windows in trip order
+    errors = np.concatenate(trip_errors, axis=1)
+    all_labels = np.concatenate(trip_labels).tolist()
 
     report: dict = {
         "owner": cfg.owner,
@@ -342,28 +340,19 @@ def evaluate(cfg: RunConfig, models_dir: str) -> dict:
     }
     thresholds: dict[str, float] = {}
     curves: dict[str, detect.RocCurve] = {}
-    tuned_verdicts: dict[str, list[bool]] = {}
-    all_labels: list[bool] = []
-    for item in per_trip:
-        all_labels.extend(item["labels"])
-
-    for feature in books:
-        labeled = []
-        for item in per_trip:
-            for v, lab in zip(item["verdicts"][feature], item["labels"]):
-                labeled.append((v.representative_error, lab))
+    predictions = []
+    for feature, model_errors in zip(books, errors.tolist()):
         if isinstance(cfg.thresholds, dict) and feature in cfg.thresholds:
             theta = cfg.thresholds[feature]
             curve = None
         else:
-            grid = detect.threshold_grid([e for e, _ in labeled])
-            curve = detect.roc_sweep(labeled, grid)
+            grid = detect.threshold_grid(model_errors)
+            curve = detect.roc_sweep(list(zip(model_errors, all_labels)), grid)
             theta = detect.optimize_threshold(curve)
             curves[feature] = curve
         thresholds[feature] = theta
-        predictions = [e > theta for e, _ in labeled]
-        metrics = detect.compute_metrics(predictions, all_labels)
-        tuned_verdicts[feature] = predictions
+        predictions.append([e > theta for e in model_errors])
+        metrics = detect.compute_metrics(predictions[-1], all_labels)
         report["models"][feature] = {
             "threshold": theta,
             "auc": curve.auc if curve else None,
@@ -371,22 +360,18 @@ def evaluate(cfg: RunConfig, models_dir: str) -> dict:
         }
 
     if len(books) == detect.ENSEMBLE_SIZE:
-        stacked = [tuned_verdicts[f] for f in books]
-        votes = [sum(col) for col in zip(*stacked)]
-        ens_pred = [v >= detect.MAJORITY for v in votes]
+        ens_pred = (detect.ensemble_vote(np.array(predictions)) >= detect.MAJORITY).tolist()
         report["ensemble"] = {
             "rule": f"majority {detect.MAJORITY} of {detect.ENSEMBLE_SIZE}",
             "metrics": detect.metrics_dict(detect.compute_metrics(ens_pred, all_labels)),
         }
 
     report["thresholds"] = thresholds
-    report["_curves"] = curves  # stripped before serialization
-    return report
+    return report, curves
 
 
 def cmd_evaluate(cfg: RunConfig, models_dir: str) -> int:
-    report = evaluate(cfg, models_dir)
-    curves = report.pop("_curves")
+    report, curves = evaluate(cfg, models_dir)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     detect.write_detection_report(report, out_dir / "report.json")

@@ -1,8 +1,10 @@
-"""Per-feature k-means codebooks over highlighted segments.
+"""Per-feature k-means codebooks over highlighted window matrices.
 
-Lloyd's iterations with distance-weighted (k-means++ style) seeding,
-best-of-restarts by SSE, elbow sweep with maximum-distance-to-chord knee
-detection, and versioned JSON persistence of trained codebooks.
+Training takes one ``(n_windows, window_len)`` matrix per feature: Lloyd's
+iterations with distance-weighted (k-means++ style) seeding, best-of-restarts
+by SSE, elbow sweep with maximum-distance-to-chord knee detection, and
+versioned JSON persistence of trained codebooks. ``assign`` maps every row of
+a window matrix to its nearest centroid in one batched pass.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .windowing import Segment, WindowConfig
+from .windowing import WindowConfig
 
 CODEBOOK_FORMAT_VERSION = 1
 
@@ -64,14 +66,6 @@ class Codebook:
 class ElbowCurve:
     points: tuple[tuple[int, float], ...]  # (k, best sse), k strictly increasing
     recommended_k: int
-
-
-def _segment_matrix(segments: list[Segment]) -> np.ndarray:
-    if not segments:
-        raise ClusterError("no segments to cluster")
-    if not all(s.highlighted for s in segments):
-        raise ClusterError("codebooks are trained on highlighted segments")
-    return np.stack([s.values for s in segments])
 
 
 def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +138,8 @@ def lloyd(
 
 
 def kmeans_fit(
-    segments: list[Segment],
+    x: np.ndarray,
+    feature: str,
     k: int,
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -152,14 +147,23 @@ def kmeans_fit(
     restarts: int = DEFAULT_RESTARTS,
     cfg: WindowConfig | None = None,
     trip_ids: tuple[str, ...] = (),
+    strict_k: bool = True,
 ) -> Codebook:
-    """Best-of-restarts k-means codebook; deterministic given the seed."""
-    x = _segment_matrix(segments)
+    """Best-of-restarts k-means codebook over the rows of ``x``; deterministic given the seed.
+
+    Unless ``strict_k``, k is capped at the number of distinct rows instead of
+    being rejected.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not len(x):
+        raise ClusterError(f"expected a non-empty (n_windows, window_len) matrix, got shape {x.shape}")
     if k < 1:
         raise InfeasibleKError("k must be positive")
+    distinct = len(np.unique(x, axis=0))
+    if not strict_k:
+        k = min(k, distinct)
     if k > len(x):
         raise InfeasibleKError(f"k={k} exceeds segment count {len(x)}")
-    distinct = len(np.unique(x, axis=0))
     if k > distinct:
         raise InfeasibleKError(f"k={k} exceeds distinct segment count {distinct}")
 
@@ -176,7 +180,7 @@ def kmeans_fit(
         window_len = x.shape[1]
         cfg = WindowConfig(sample_period_s=1.0, window_s=float(window_len), stride_s=float(window_len) / 2)
     return Codebook(
-        feature=segments[0].feature,
+        feature=feature,
         k=k,
         centroids=centroids,
         sse=sse,
@@ -210,7 +214,8 @@ def knee_index(points: list[tuple[int, float]]) -> int:
 
 
 def elbow_sweep(
-    segments: list[Segment],
+    x: np.ndarray,
+    feature: str,
     k_values: list[int],
     seed: int,
     restarts: int = DEFAULT_RESTARTS,
@@ -223,21 +228,20 @@ def elbow_sweep(
         raise ClusterError("k_values must be strictly increasing")
     points = []
     for k in k_values:
-        cb = kmeans_fit(segments, k, seed, max_iter=max_iter, tol=tol, restarts=restarts, cfg=cfg)
+        cb = kmeans_fit(x, feature, k, seed, max_iter=max_iter, tol=tol, restarts=restarts, cfg=cfg)
         points.append((k, cb.sse))
     return ElbowCurve(points=tuple(points), recommended_k=points[knee_index(points)][0])
 
 
-def assign(segment: Segment, cb: Codebook) -> tuple[int, float]:
-    """Nearest centroid index and Euclidean distance; ties break low."""
-    if len(segment.values) != cb.cfg.window_len:
+def assign(windows: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid index and Euclidean distance per window row; ties break low."""
+    if windows.ndim != 2 or windows.shape[1] != cb.cfg.window_len:
         raise ClusterError(
-            f"segment length {len(segment.values)} does not match "
+            f"window matrix of shape {windows.shape} does not match "
             f"codebook window_len {cb.cfg.window_len}"
         )
-    d2 = np.sum((cb.centroids - segment.values) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return idx, float(np.sqrt(d2[idx]))
+    labels, d2 = _assign_all(windows, cb.centroids)
+    return labels, np.sqrt(d2)
 
 
 def save_codebook(cb: Codebook, path: str | Path, trained_at: str | None = None) -> None:

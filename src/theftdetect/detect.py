@@ -1,10 +1,11 @@
 """Windowed theft verdicts, ROC threshold tuning, majority ensemble, metrics.
 
-The error series is split into non-overlapping detection windows (32 s by
-default); the window's mean error is its representative error and a window is
-flagged as theft when the representative error strictly exceeds the model
-threshold. Thresholds are tuned on an ROC sweep by Youden's J, and five
-single-feature models are combined by majority vote.
+The error series is reshaped into non-overlapping detection windows (32 s by
+default); each window's mean error is its representative error, and a window
+is flagged as theft when that error strictly exceeds the model threshold.
+Thresholds are tuned on an ROC sweep by Youden's J, and the theft flags of
+five single-feature models, one row per model in a boolean matrix, are
+combined by majority vote.
 """
 
 from __future__ import annotations
@@ -35,24 +36,14 @@ class DegenerateLabelsError(DetectError):
 class DetectionConfig:
     sample_period_s: float
     detection_window_s: float = 32.0
-    threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise DetectError("threshold must be nonnegative")
         if self.detection_len < 1:
             raise DetectError("detection window shorter than one sample")
 
     @property
     def detection_len(self) -> int:
         return _round_half_up(self.detection_window_s / self.sample_period_s)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    window_start: int
-    representative_error: float
-    is_theft: bool
 
 
 @dataclass(frozen=True)
@@ -75,40 +66,27 @@ class MetricSet:
     degenerate_recall: bool = False
 
 
-def windows_verdicts(err: ErrorSeries, cfg: DetectionConfig) -> list[Verdict]:
-    """Non-overlapping detection windows; theft iff mean error > threshold."""
-    errors = err.errors
+def windows_verdicts(err: ErrorSeries, cfg: DetectionConfig) -> np.ndarray:
+    """Mean error of each full detection window; window i starts at i * detection_len.
+
+    A window is theft iff its mean error > the model threshold.
+    """
     w = cfg.detection_len
-    if len(errors) < w:
-        raise DetectError(f"error series of length {len(errors)} shorter than detection window {w}")
-    verdicts = []
-    for start in range(0, len(errors) - w + 1, w):
-        rep = float(errors[start : start + w].mean())
-        verdicts.append(Verdict(window_start=start, representative_error=rep, is_theft=rep > cfg.threshold))
-    return verdicts
+    n = len(err.errors) // w
+    if n == 0:
+        raise DetectError(f"error series of length {len(err.errors)} shorter than detection window {w}")
+    return err.errors[: n * w].reshape(n, w).mean(axis=1)
 
 
-def ensemble_vote(verdicts_per_model: list[list[Verdict]]) -> list[Verdict]:
-    """Majority-of-5 vote per aligned window; representative error = theft votes."""
-    if len(verdicts_per_model) != ENSEMBLE_SIZE:
-        raise DetectError(f"ensemble expects {ENSEMBLE_SIZE} models, got {len(verdicts_per_model)}")
-    lengths = {len(v) for v in verdicts_per_model}
-    if len(lengths) != 1:
-        raise DetectError("verdict lists have different lengths")
-    out = []
-    for window in zip(*verdicts_per_model):
-        starts = {v.window_start for v in window}
-        if len(starts) != 1:
-            raise DetectError(f"misaligned window starts {sorted(starts)}")
-        votes = sum(v.is_theft for v in window)
-        out.append(
-            Verdict(
-                window_start=window[0].window_start,
-                representative_error=float(votes),
-                is_theft=votes >= MAJORITY,
-            )
-        )
-    return out
+def ensemble_vote(theft: np.ndarray) -> np.ndarray:
+    """Theft votes per window from a (models, windows) boolean matrix.
+
+    A window is theft iff at least MAJORITY of the ENSEMBLE_SIZE models flag it.
+    """
+    theft = np.asarray(theft, dtype=bool)
+    if theft.ndim != 2 or len(theft) != ENSEMBLE_SIZE:
+        raise DetectError(f"ensemble expects {ENSEMBLE_SIZE} model rows, got shape {theft.shape}")
+    return theft.sum(axis=0)
 
 
 def threshold_grid(errors: list[float]) -> list[float]:

@@ -1,9 +1,9 @@
 """Nearest-centroid reconstruction and per-sample reconstruction error.
 
-A validation series is segmented, highlighted, and each segment replaced by
-its nearest codebook centroid. Overlapping contributions are merged by
-arithmetic mean; the highlighted original is merged the same way so the two
-sequences compare sample-for-sample.
+A validation series becomes a highlighted window matrix, and one batched
+nearest-centroid pass replaces each row by its codebook centroid. Overlapping
+rows are merged by arithmetic mean; the highlighted original is merged the
+same way so the two sequences compare sample-for-sample.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import Codebook, assign
-from .windowing import WindowError, slide, highlight
+from .windowing import slide_highlighted
 
 
 class ReconstructError(Exception):
@@ -27,7 +27,8 @@ class Reconstruction:
     feature: str
     original_assembled: np.ndarray
     reconstructed: np.ndarray
-    per_segment_assignments: tuple[tuple[int, int, float], ...]  # (start, centroid, distance)
+    labels: np.ndarray  # nearest centroid index per window
+    distances: np.ndarray  # Euclidean distance to that centroid per window
 
     def __post_init__(self) -> None:
         if len(self.original_assembled) != len(self.reconstructed):
@@ -44,41 +45,31 @@ class ErrorSeries:
             raise ReconstructError("errors must be nonnegative")
 
 
-def overlap_merge(pieces: list[tuple[int, np.ndarray]], total_len: int) -> np.ndarray:
-    """Mean of overlapping contributions at each sample."""
-    acc = np.zeros(total_len)
-    count = np.zeros(total_len)
-    for start, values in pieces:
-        acc[start : start + len(values)] += values
-        count[start : start + len(values)] += 1
-    if np.any(count == 0):
-        raise ReconstructError("overlap merge left uncovered samples")
-    return acc / count
+def overlap_merge(windows: np.ndarray, stride: int) -> np.ndarray:
+    """Mean of the rows covering each sample; row i starts at sample i * stride.
+
+    Contributions are summed in row order at every sample.
+    """
+    n, length = windows.shape
+    if not 1 <= stride <= length:
+        raise ReconstructError(f"stride {stride} leaves samples uncovered by windows of {length}")
+    index = np.arange(n)[:, None] * stride + np.arange(length)
+    acc = np.zeros((n - 1) * stride + length)
+    np.add.at(acc, index, windows)
+    return acc / np.bincount(index.ravel())
 
 
 def reconstruct_series(series: np.ndarray, cb: Codebook) -> Reconstruction:
     """Rebuild a series from nearest codebook centroids."""
     cfg = cb.cfg
-    series = np.asarray(series, dtype=float)
-    if len(series) < cfg.window_len:
-        raise WindowError(
-            f"series of length {len(series)} shorter than window {cfg.window_len}"
-        )
-    segments = [highlight(seg, cfg) for seg in slide(series, cfg, cb.feature)]
-    assignments = []
-    original_pieces = []
-    reconstructed_pieces = []
-    for seg in segments:
-        idx, dist = assign(seg, cb)
-        assignments.append((seg.start_index, idx, dist))
-        original_pieces.append((seg.start_index, seg.values))
-        reconstructed_pieces.append((seg.start_index, cb.centroids[idx]))
-    total_len = segments[-1].start_index + cfg.window_len
+    windows = slide_highlighted(series, cfg)
+    labels, distances = assign(windows, cb)
     return Reconstruction(
         feature=cb.feature,
-        original_assembled=overlap_merge(original_pieces, total_len),
-        reconstructed=overlap_merge(reconstructed_pieces, total_len),
-        per_segment_assignments=tuple(assignments),
+        original_assembled=overlap_merge(windows, cfg.stride_len),
+        reconstructed=overlap_merge(cb.centroids[labels], cfg.stride_len),
+        labels=labels,
+        distances=distances,
     )
 
 

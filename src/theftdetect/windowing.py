@@ -1,8 +1,9 @@
-"""Sliding-window segmentation and zero-endpoint filter highlighting.
+"""Sliding-window matrices and zero-endpoint filter highlighting.
 
-Single-feature series are cut into fixed-length segments (32 s window, 16 s
-stride by default) and each segment is multiplied by a raised-cosine filter
-that starts and ends at zero, concentrating the signal mid-window.
+A single-feature series becomes one ``(n_windows, window_len)`` matrix whose
+row ``i`` is the window starting at sample ``i * stride_len`` (32 s window,
+16 s stride by default). Highlighting multiplies every row by a raised-cosine
+filter that starts and ends at zero, concentrating the signal mid-window.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class WindowError(Exception):
@@ -68,57 +70,17 @@ class WindowConfig:
         return FILTERS[self.filter_name](self.window_len)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Fixed-length window of one feature's series, raw or highlighted."""
-
-    feature: str
-    start_index: int
-    values: np.ndarray
-    highlighted: bool = False
-
-
-def segment_count(series_len: int, cfg: WindowConfig) -> int:
-    if series_len < cfg.window_len:
-        return 0
-    return (series_len - cfg.window_len) // cfg.stride_len + 1
-
-
-def slide(series: np.ndarray, cfg: WindowConfig, feature: str = "") -> list[Segment]:
-    """Cut a series into full windows at stride intervals.
+def slide(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
+    """Full windows at stride intervals, one per row of a new matrix.
 
     Trailing samples short of a full window are dropped.
     """
     series = np.asarray(series, dtype=float)
-    n = len(series)
-    if n < cfg.window_len:
-        raise WindowError(f"series of length {n} shorter than window {cfg.window_len}")
-    count = segment_count(n, cfg)
-    return [
-        Segment(
-            feature=feature,
-            start_index=i * cfg.stride_len,
-            values=series[i * cfg.stride_len : i * cfg.stride_len + cfg.window_len].copy(),
-        )
-        for i in range(count)
-    ]
+    if len(series) < cfg.window_len:
+        raise WindowError(f"series of length {len(series)} shorter than window {cfg.window_len}")
+    return sliding_window_view(series, cfg.window_len)[:: cfg.stride_len].copy()
 
 
-def highlight(seg: Segment, cfg: WindowConfig) -> Segment:
-    """Multiply a raw segment by the zero-endpoint filter."""
-    if seg.highlighted:
-        raise WindowError("segment already highlighted")
-    if len(seg.values) != cfg.window_len:
-        raise WindowError(
-            f"segment length {len(seg.values)} does not match window_len {cfg.window_len}"
-        )
-    return Segment(
-        feature=seg.feature,
-        start_index=seg.start_index,
-        values=seg.values * cfg.filter_coefficients(),
-        highlighted=True,
-    )
-
-
-def slide_highlighted(series: np.ndarray, cfg: WindowConfig, feature: str = "") -> list[Segment]:
-    return [highlight(seg, cfg) for seg in slide(series, cfg, feature)]
+def slide_highlighted(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
+    """Window matrix with every row multiplied by the zero-endpoint filter."""
+    return slide(series, cfg) * cfg.filter_coefficients()

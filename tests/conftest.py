@@ -1,16 +1,5 @@
 import numpy as np
-import pytest
-
-from theftdetect.windowing import Segment, WindowConfig
 
 
-@pytest.fixture
-def cfg32() -> WindowConfig:
-    return WindowConfig(sample_period_s=1.0, window_s=32.0, stride_s=16.0)
-
-
-def make_segments(rng: np.random.Generator, n: int, length: int, feature: str = "f") -> list[Segment]:
-    return [
-        Segment(feature, 0, rng.normal(size=length), highlighted=True)
-        for _ in range(n)
-    ]
+def make_windows(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
+    return rng.normal(size=(n, length))

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from theftdetect import cli, cluster, detect, ingest, reconstruct, synth, windowing
 from theftdetect.cli import window_labels
-from theftdetect.detect import DetectionConfig, Verdict
-from theftdetect.windowing import Segment, WindowConfig, hann_filter
+from theftdetect.detect import DetectionConfig
+from theftdetect.windowing import WindowConfig, hann_filter
 
 
 @contextmanager
@@ -66,25 +66,21 @@ def test_splice_localization(run):
         trip = ingest.parse_trip(corpus / entry["file"], 1.0,
                                  trip_id=entry["trip_id"], driver_id=entry["driver_id"])
 
-        all_theft_labels = []
-        all_theft_verdicts = []
+        dcfg = DetectionConfig(sample_period_s=1.0)
+        theft = []
         for feature, cb in books.items():
             rec = reconstruct.reconstruct_series(trip.features[feature], cb)
             err = reconstruct.error_series(rec)
             inside = err.errors[sample_labels[: len(err.errors)]]
             outside = err.errors[~sample_labels[: len(err.errors)]]
             assert inside.mean() >= 3.0 * outside.mean(), feature
-            dcfg = DetectionConfig(sample_period_s=1.0, threshold=thresholds[feature])
-            verdicts = detect.windows_verdicts(err, dcfg)
-            labels = window_labels(sample_labels, len(err.errors), dcfg.detection_len)
-            all_theft_verdicts.append([v.is_theft for v in verdicts])
-            all_theft_labels = labels
+            theft.append(detect.windows_verdicts(err, dcfg) > thresholds[feature])
 
-        votes = [sum(col) for col in zip(*all_theft_verdicts)]
-        ens = [v >= detect.MAJORITY for v in votes]
-        flagged = [lab for pred, lab in zip(ens, all_theft_labels) if pred]
-        assert flagged, "no theft windows flagged at all"
-        assert sum(flagged) / len(flagged) >= 0.8
+        ens = detect.ensemble_vote(np.array(theft)) >= detect.MAJORITY
+        labels = window_labels(sample_labels, len(theft[0]), dcfg.detection_len)
+        flagged = labels[ens]
+        assert flagged.size, "no theft windows flagged at all"
+        assert flagged.mean() >= 0.8
 
 
 def test_kmeans_properties_1000_segments():
@@ -102,8 +98,7 @@ def test_kmeans_properties_1000_segments():
             if len(members):
                 assert np.max(np.abs(centroids[j] - members.mean(axis=0))) <= 1e-9
 
-        segs = [Segment("f", 0, row, highlighted=True) for row in x]
-        cb = cluster.kmeans_fit(segs, 1000, seed=0, restarts=1)
+        cb = cluster.kmeans_fit(x, "f", 1000, seed=0, restarts=1)
         assert cb.sse <= 1e-18
 
 
@@ -113,12 +108,8 @@ def test_elbow_recovery():
         for seed in range(10):
             rng = np.random.default_rng(seed)
             centers = np.array([[0.0] * 8, [10.0] * 8, [-8.0] * 8])
-            segs = [
-                Segment("f", 0, c + rng.normal(0, 0.5, 8), highlighted=True)
-                for c in centers
-                for _ in range(30)
-            ]
-            curve = cluster.elbow_sweep(segs, list(range(1, 9)), seed=seed, restarts=3)
+            x = np.array([c + rng.normal(0, 0.5, 8) for c in centers for _ in range(30)])
+            curve = cluster.elbow_sweep(x, "f", list(range(1, 9)), seed=seed, restarts=3)
             successes += curve.recommended_k == 3
         assert successes >= 9, f"only {successes}/10 seeds recovered k=3"
 
@@ -134,8 +125,8 @@ def test_windowing_count_property(length, window, stride_frac):
     cfg = WindowConfig(sample_period_s=1.0, window_s=float(window), stride_s=float(stride))
     if length < window:
         return
-    segs = windowing.slide(np.zeros(length), cfg)
-    assert len(segs) == (length - window) // stride + 1
+    windows = windowing.slide(np.zeros(length), cfg)
+    assert windows.shape == ((length - window) // stride + 1, window)
 
 
 def test_windowing_arithmetic_summary():
@@ -159,10 +150,8 @@ def test_reconstruction_identity(run):
         ]
         cfg = WindowConfig(sample_period_s=1.0)
         feature = "transmission_oil_temperature"
-        segs = []
-        for t in trips:
-            segs.extend(windowing.slide_highlighted(t.features[feature], cfg, feature))
-        cb = cluster.kmeans_fit(segs, len(segs), seed=0, restarts=1, cfg=cfg)
+        x = np.concatenate([windowing.slide_highlighted(t.features[feature], cfg) for t in trips])
+        cb = cluster.kmeans_fit(x, feature, len(x), seed=0, restarts=1, cfg=cfg)
         for t in trips:
             rec = reconstruct.reconstruct_series(t.features[feature], cb)
             err = reconstruct.error_series(rec)
@@ -172,36 +161,20 @@ def test_reconstruction_identity(run):
 def test_detection_properties():
     with criterion("detection properties"):
         rng = np.random.default_rng(1)
+        dcfg = DetectionConfig(sample_period_s=1.0)
         for _ in range(50):
             errs = reconstruct.ErrorSeries("f", rng.uniform(0, 10, size=96))
             t_lo, t_hi = sorted(rng.uniform(0, 10, size=2))
-            n_lo = sum(
-                v.is_theft
-                for v in detect.windows_verdicts(
-                    errs, DetectionConfig(sample_period_s=1.0, threshold=t_lo)
-                )
-            )
-            n_hi = sum(
-                v.is_theft
-                for v in detect.windows_verdicts(
-                    errs, DetectionConfig(sample_period_s=1.0, threshold=t_hi)
-                )
-            )
-            assert n_hi <= n_lo
+            means = detect.windows_verdicts(errs, dcfg)
+            assert (means > t_hi).sum() <= (means > t_lo).sum()
 
         boundary = reconstruct.ErrorSeries("f", np.full(32, 4.25))
-        (v,) = detect.windows_verdicts(
-            boundary, DetectionConfig(sample_period_s=1.0, threshold=4.25)
-        )
-        assert not v.is_theft
+        (mean,) = detect.windows_verdicts(boundary, dcfg)
+        assert not mean > 4.25
 
-        for pattern in itertools.product([False, True], repeat=5):
-            lists = [
-                [Verdict(window_start=0, representative_error=1.0, is_theft=p)]
-                for p in pattern
-            ]
-            (voted,) = detect.ensemble_vote(lists)
-            assert voted.is_theft == (sum(pattern) >= 3)
+        patterns = np.array(list(itertools.product([False, True], repeat=5)))
+        votes = detect.ensemble_vote(patterns.T)
+        np.testing.assert_array_equal(votes >= detect.MAJORITY, patterns.sum(axis=1) >= 3)
 
 
 def test_roc_and_metrics_oracles():

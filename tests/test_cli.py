@@ -1,7 +1,14 @@
+import csv
 import hashlib
 import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theftdetect.cli import (
     EXIT_DATA,
@@ -9,6 +16,7 @@ from theftdetect.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    window_labels,
 )
 from theftdetect.synth import load_manifest
 
@@ -119,6 +127,60 @@ def test_detect_owner_and_spliced_trips(pipeline, tmp_path):
     assert all(start + 32 > splice_start for start in theft_windows)
 
 
+@pytest.mark.parametrize("corrupt", ["delete", -1.0, math.nan, math.inf, "6"])
+def test_detect_bad_threshold_fails_closed(pipeline, tmp_path, corrupt):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    thresholds = json.loads((models / "thresholds.json").read_text())
+    feature = sorted(thresholds)[2]
+    if corrupt == "delete":
+        del thresholds[feature]
+    else:
+        thresholds[feature] = corrupt
+    (models / "thresholds.json").write_text(json.dumps(thresholds))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-thief")
+    out = tmp_path / "out"
+    assert run("detect", "--data", str(pipeline / "corpus"), "--models", str(models),
+               "--out", str(out), "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_USAGE
+    assert not list(out.glob("detection_*.json"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    feature_pick=st.integers(0, 4),
+    row_pick=st.floats(0.0, 1.0, exclude_max=True),
+    value=st.sampled_from(["nan", "inf", "-inf"]),
+)
+def test_detect_non_finite_sample_is_data_error(pipeline, feature_pick, row_pick, value):
+    corpus = pipeline / "corpus"
+    essential = json.loads((pipeline / "models" / "features.json").read_text())["essential"]
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    with open(corpus / entry["file"], newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows[int(row_pick * len(rows))][header.index(essential[feature_pick])] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        trip = Path(tmp) / "A_corrupt.csv"
+        with open(trip, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        out = Path(tmp) / "out"
+        assert run("detect", "--data", str(corpus), "--models", str(pipeline / "models"),
+                   "--out", str(out), "--trip", str(trip)) == EXIT_DATA
+        assert not list(out.glob("detection_*.json"))
+
+
+def test_detect_mixed_window_configs_is_data_error(pipeline, tmp_path):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    path = sorted(models.glob("codebook_*.json"))[0]
+    doc = json.loads(path.read_text())
+    doc["filter_name"] = "triangular"
+    path.write_text(json.dumps(doc))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    assert run("detect", "--data", str(pipeline / "corpus"), "--models", str(models),
+               "--out", str(tmp_path / "out"),
+               "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_DATA
+
+
 def test_detect_unknown_feature_schema_error(pipeline, tmp_path):
     trip = tmp_path / "X_weird.csv"
     trip.write_text("unknown_feature\n" + "\n".join("1.0" for _ in range(64)) + "\n")
@@ -126,6 +188,14 @@ def test_detect_unknown_feature_schema_error(pipeline, tmp_path):
                "--models", str(pipeline / "models"),
                "--out", str(tmp_path), "--trip", str(trip))
     assert code == EXIT_DATA
+
+
+@given(labels=st.lists(st.booleans(), max_size=200), dlen=st.integers(1, 40))
+def test_window_labels_match_per_window_majority(labels, dlen):
+    labels = np.array(labels, dtype=bool)
+    n = len(labels) // dlen
+    expected = [labels[s : s + dlen].sum() * 2 > dlen for s in range(0, n * dlen, dlen)]
+    np.testing.assert_array_equal(window_labels(labels, n, dlen), np.array(expected, dtype=bool))
 
 
 def test_missing_data_dir_is_data_error(tmp_path):
@@ -164,6 +234,12 @@ def test_config_file_and_flag_override(pipeline, tmp_path):
 def test_unknown_config_key(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"bogus": 1}))
+    assert run("--config", str(cfg_file), "ingest") == EXIT_USAGE
+
+
+def test_removed_elbow_k_values_key_rejected(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"elbow_k_values": [10, 20]}))
     assert run("--config", str(cfg_file), "ingest") == EXIT_USAGE
 
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_segments
+from conftest import make_windows
 from theftdetect.cluster import (
-    ElbowCurve,
+    ClusterError,
     InfeasibleKError,
     assign,
     elbow_sweep,
@@ -15,14 +15,13 @@ from theftdetect.cluster import (
     load_codebook,
     save_codebook,
 )
-from theftdetect.windowing import Segment, WindowConfig
+from theftdetect.windowing import WindowConfig
 
 
 def test_k1_centroid_is_mean():
     rng = np.random.default_rng(0)
-    segs = make_segments(rng, 50, 8)
-    cb = kmeans_fit(segs, 1, seed=0)
-    x = np.stack([s.values for s in segs])
+    x = make_windows(rng, 50, 8)
+    cb = kmeans_fit(x, "f", 1, seed=0)
     np.testing.assert_allclose(cb.centroids[0], x.mean(axis=0), atol=1e-12)
     expected_sse = float(((x - x.mean(axis=0)) ** 2).sum())
     assert cb.sse == pytest.approx(expected_sse, rel=1e-12)
@@ -30,22 +29,22 @@ def test_k1_centroid_is_mean():
 
 def test_k_equals_n_zero_sse():
     rng = np.random.default_rng(1)
-    segs = make_segments(rng, 20, 6)
-    cb = kmeans_fit(segs, 20, seed=0)
+    cb = kmeans_fit(make_windows(rng, 20, 6), "f", 20, seed=0)
     assert cb.sse <= 1e-18
 
 
 def test_blobs_recovered():
     rng = np.random.default_rng(2)
     centers = np.array([[0.0] * 4, [20.0] * 4, [-15.0] * 4])
-    segs, truth = [], []
+    x, truth = [], []
     for label, c in enumerate(centers):
         for _ in range(25):
-            segs.append(Segment("f", 0, c + rng.normal(0, 0.3, 4), highlighted=True))
+            x.append(c + rng.normal(0, 0.3, 4))
             truth.append(label)
-    cb = kmeans_fit(segs, 3, seed=0)
+    x = np.array(x)
+    cb = kmeans_fit(x, "f", 3, seed=0)
     # brute-force nearest-mean labeling must match blob identity up to permutation
-    got = [assign(s, cb)[0] for s in segs]
+    got = assign(x, cb)[0].tolist()
     mapping = {}
     for g, t in zip(got, truth):
         mapping.setdefault(t, g)
@@ -55,50 +54,69 @@ def test_blobs_recovered():
 
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(3)
-    segs = make_segments(rng, 1, 10)
-    cb = kmeans_fit(make_segments(rng, 12, 10), 5, seed=1)
-    idx, dist = assign(segs[0], cb)
-    brute = [float(np.linalg.norm(segs[0].values - c)) for c in cb.centroids]
-    assert idx == int(np.argmin(brute))
-    assert dist == pytest.approx(min(brute), rel=1e-12)
+    windows = make_windows(rng, 6, 10)
+    cb = kmeans_fit(make_windows(rng, 12, 10), "f", 5, seed=1)
+    labels, dists = assign(windows, cb)
+    for row, idx, dist in zip(windows, labels, dists):
+        brute = [float(np.linalg.norm(row - c)) for c in cb.centroids]
+        assert idx == int(np.argmin(brute))
+        assert dist == pytest.approx(min(brute), rel=1e-12)
+
+
+def test_assign_rejects_wrong_window_len():
+    rng = np.random.default_rng(10)
+    cb = kmeans_fit(make_windows(rng, 12, 10), "f", 5, seed=1)
+    with pytest.raises(ClusterError, match="window_len"):
+        assign(make_windows(rng, 3, 9), cb)
+    with pytest.raises(ClusterError, match="window_len"):
+        assign(make_windows(rng, 1, 10)[0], cb)
 
 
 def test_assign_exact_match_and_tie_break():
     cfg = WindowConfig(sample_period_s=1.0, window_s=4.0, stride_s=2.0)
-    segs = [
-        Segment("f", 0, np.array([0.0, 0, 0, 0]), highlighted=True),
-        Segment("f", 0, np.array([2.0, 0, 0, 0]), highlighted=True),
-        Segment("f", 0, np.array([4.0, 0, 0, 0]), highlighted=True),
-    ]
-    cb = kmeans_fit(segs, 3, seed=0, cfg=cfg)
-    # segment equal to a centroid
-    idx, dist = assign(segs[1], cb)
+    x = np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0], [4.0, 0, 0, 0]])
+    cb = kmeans_fit(x, "f", 3, seed=0, cfg=cfg)
+    # window equal to a centroid
+    (idx,), (dist,) = assign(x[1:2], cb)
     assert dist == 0.0
-    assert np.allclose(cb.centroids[idx], segs[1].values)
+    assert np.allclose(cb.centroids[idx], x[1])
     # equidistant between two centroids: lowest index wins
-    mid = Segment("f", 0, np.array([1.0, 0, 0, 0]), highlighted=True)
-    idx, _ = assign(mid, cb)
+    mid = np.array([1.0, 0, 0, 0])
+    (idx,), _ = assign(mid[None, :], cb)
     candidates = [
-        i for i, c in enumerate(cb.centroids) if np.isclose(np.linalg.norm(mid.values - c), 1.0)
+        i for i, c in enumerate(cb.centroids) if np.isclose(np.linalg.norm(mid - c), 1.0)
     ]
     assert idx == min(candidates)
 
 
 def test_infeasible_k():
     rng = np.random.default_rng(4)
-    segs = make_segments(rng, 5, 4)
     with pytest.raises(InfeasibleKError):
-        kmeans_fit(segs, 6, seed=0)
-    dup = [Segment("f", 0, np.ones(4), highlighted=True) for _ in range(5)]
+        kmeans_fit(make_windows(rng, 5, 4), "f", 6, seed=0)
     with pytest.raises(InfeasibleKError):
-        kmeans_fit(dup, 2, seed=0)
+        kmeans_fit(np.ones((5, 4)), "f", 2, seed=0)
+
+
+def test_non_strict_k_capped_at_distinct_rows():
+    x = np.repeat(np.eye(4), 3, axis=0)  # 12 rows, 4 distinct
+    cb = kmeans_fit(x, "f", 10, seed=0, strict_k=False)
+    assert cb.k == 4
+    assert cb.sse == 0.0
+    assert cb.meta.segment_count == 12
+
+
+def test_rejects_empty_or_non_matrix_input():
+    with pytest.raises(ClusterError):
+        kmeans_fit(np.empty((0, 4)), "f", 1, seed=0)
+    with pytest.raises(ClusterError):
+        kmeans_fit(np.ones(4), "f", 1, seed=0)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
-    segs = make_segments(rng, 40, 8)
-    a = kmeans_fit(segs, 7, seed=123)
-    b = kmeans_fit(segs, 7, seed=123)
+    x = make_windows(rng, 40, 8)
+    a = kmeans_fit(x, "f", 7, seed=123)
+    b = kmeans_fit(x, "f", 7, seed=123)
     np.testing.assert_array_equal(a.centroids, b.centroids)
     assert a.sse == b.sse
     assert a.meta == b.meta
@@ -124,12 +142,8 @@ def test_lloyd_sse_non_increasing_and_converged_invariants():
 def test_elbow_recommends_true_cluster_count():
     rng = np.random.default_rng(7)
     centers = np.array([[0.0] * 6, [12.0] * 6, [-10.0] * 6])
-    segs = [
-        Segment("f", 0, c + rng.normal(0, 0.4, 6), highlighted=True)
-        for c in centers
-        for _ in range(20)
-    ]
-    curve = elbow_sweep(segs, list(range(1, 9)), seed=0, restarts=3)
+    x = np.array([c + rng.normal(0, 0.4, 6) for c in centers for _ in range(20)])
+    curve = elbow_sweep(x, "f", list(range(1, 9)), seed=0, restarts=3)
     assert curve.recommended_k == 3
     ks = [k for k, _ in curve.points]
     assert ks == sorted(ks)
@@ -137,8 +151,7 @@ def test_elbow_recommends_true_cluster_count():
 
 def test_elbow_k_equals_n_point():
     rng = np.random.default_rng(8)
-    segs = make_segments(rng, 10, 4)
-    curve = elbow_sweep(segs, [10], seed=0, restarts=2)
+    curve = elbow_sweep(make_windows(rng, 10, 4), "f", [10], seed=0, restarts=2)
     assert curve.points[0][1] <= 1e-18
 
 
@@ -150,10 +163,7 @@ def test_knee_index_toy():
 def test_codebook_json_round_trip_bit_faithful(tmp_path):
     rng = np.random.default_rng(9)
     cfg = WindowConfig(sample_period_s=1.0, window_s=8.0, stride_s=4.0)
-    segs = [
-        Segment("speed", 0, rng.normal(size=8), highlighted=True) for _ in range(15)
-    ]
-    cb = kmeans_fit(segs, 4, seed=2, cfg=cfg, trip_ids=("t1", "t2"))
+    cb = kmeans_fit(make_windows(rng, 15, 8), "speed", 4, seed=2, cfg=cfg, trip_ids=("t1", "t2"))
     path = tmp_path / "cb.json"
     save_codebook(cb, path)
     loaded = load_codebook(path)
@@ -168,8 +178,3 @@ def test_codebook_json_round_trip_bit_faithful(tmp_path):
         "sample_period_s", "filter_name", "centroids", "sse", "seed", "trained_at",
     ):
         assert key in doc
-
-
-def test_requires_highlighted_segments():
-    with pytest.raises(Exception, match="highlighted"):
-        kmeans_fit([Segment("f", 0, np.ones(4), highlighted=False)], 1, seed=0)

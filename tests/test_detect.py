@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from theftdetect.detect import (
     DegenerateLabelsError,
     DetectError,
+    MAJORITY,
     DetectionConfig,
-    Verdict,
     compute_metrics,
     ensemble_vote,
     optimize_threshold,
@@ -23,38 +23,49 @@ def errors(values):
     return ErrorSeries("f", np.asarray(values, dtype=float))
 
 
-def dcfg(threshold=0.0, window=32.0, period=1.0):
-    return DetectionConfig(
-        sample_period_s=period, detection_window_s=window, threshold=threshold
-    )
+def dcfg(window=32.0, period=1.0):
+    return DetectionConfig(sample_period_s=period, detection_window_s=window)
 
 
 def test_all_zero_errors_are_owner():
-    verdicts = windows_verdicts(errors(np.zeros(96)), dcfg(threshold=6.0))
-    assert len(verdicts) == 3
-    assert not any(v.is_theft for v in verdicts)
+    means = windows_verdicts(errors(np.zeros(96)), dcfg())
+    assert len(means) == 3
+    assert not (means > 6.0).any()
 
 
 def test_mean_error_above_threshold_is_theft():
     # transmission-oil-temperature operating point: threshold 6
-    verdicts = windows_verdicts(errors(np.full(32, 10.0)), dcfg(threshold=6.0))
-    assert verdicts[0].representative_error == 10.0
-    assert verdicts[0].is_theft
+    (mean,) = windows_verdicts(errors(np.full(32, 10.0)), dcfg())
+    assert mean == 10.0
+    assert mean > 6.0
 
 
 def test_boundary_is_owner():
-    verdicts = windows_verdicts(errors(np.full(32, 6.0)), dcfg(threshold=6.0))
-    assert not verdicts[0].is_theft
+    (mean,) = windows_verdicts(errors(np.full(32, 6.0)), dcfg())
+    assert not mean > 6.0
 
 
 def test_trailing_partial_window_dropped():
-    verdicts = windows_verdicts(errors(np.zeros(70)), dcfg())
-    assert [v.window_start for v in verdicts] == [0, 32]
+    means = windows_verdicts(errors(np.arange(70.0)), dcfg())
+    np.testing.assert_array_equal(means, [15.5, 47.5])  # windows start at 0 and 32
 
 
 def test_too_short_series():
     with pytest.raises(DetectError):
         windows_verdicts(errors(np.zeros(10)), dcfg())
+
+
+@given(
+    errs=st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=300),
+    window=st.integers(1, 40),
+)
+def test_window_means_match_per_slice_mean(errs, window):
+    errs = np.asarray(errs)
+    if len(errs) < window:
+        return
+    expected = [errs[s : s + window].mean() for s in range(0, len(errs) - window + 1, window)]
+    means = windows_verdicts(errors(errs), dcfg(window=float(window)))
+    np.testing.assert_array_equal(means, expected)
 
 
 @given(
@@ -64,43 +75,30 @@ def test_too_short_series():
 )
 def test_threshold_monotonicity(errs, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    n_lo = sum(v.is_theft for v in windows_verdicts(errors(errs), dcfg(lo, window=8.0)))
-    n_hi = sum(v.is_theft for v in windows_verdicts(errors(errs), dcfg(hi, window=8.0)))
-    assert n_hi <= n_lo
-
-
-def _verdicts(pattern):
-    return [
-        [Verdict(window_start=0, representative_error=1.0, is_theft=p)]
-        for p in pattern
-    ]
+    means = windows_verdicts(errors(errs), dcfg(window=8.0))
+    assert (means > hi).sum() <= (means > lo).sum()
 
 
 def test_ensemble_truth_table_all_32_patterns():
-    for pattern in itertools.product([False, True], repeat=5):
-        (voted,) = ensemble_vote(_verdicts(pattern))
-        assert voted.is_theft == (sum(pattern) >= 3)
-        assert voted.representative_error == sum(pattern)
+    patterns = np.array(list(itertools.product([False, True], repeat=5)))
+    votes = ensemble_vote(patterns.T)  # one window per pattern
+    np.testing.assert_array_equal(votes, patterns.sum(axis=1))
+    np.testing.assert_array_equal(votes >= MAJORITY, patterns.sum(axis=1) >= 3)
 
 
 def test_ensemble_permutation_symmetric():
     pattern = (True, True, False, True, False)
-    (base,) = ensemble_vote(_verdicts(pattern))
+    (base,) = ensemble_vote(np.array(pattern)[:, None])
     for perm in itertools.permutations(pattern):
-        (voted,) = ensemble_vote(_verdicts(perm))
-        assert voted.is_theft == base.is_theft
-
-
-def test_ensemble_misaligned():
-    lists = _verdicts((True,) * 5)
-    lists[2] = [Verdict(window_start=32, representative_error=1.0, is_theft=True)]
-    with pytest.raises(DetectError, match="misaligned"):
-        ensemble_vote(lists)
+        (votes,) = ensemble_vote(np.array(perm)[:, None])
+        assert votes == base
 
 
 def test_ensemble_wrong_model_count():
     with pytest.raises(DetectError):
-        ensemble_vote(_verdicts((True, False)))
+        ensemble_vote(np.ones((2, 1), dtype=bool))
+    with pytest.raises(DetectError):
+        ensemble_vote(np.ones(5, dtype=bool))
 
 
 TOY = [(1.0, False), (2.0, False), (3.0, True), (4.0, True)]
@@ -234,4 +232,4 @@ def test_metrics_length_mismatch():
 
 def test_detection_config_validation():
     with pytest.raises(DetectError):
-        DetectionConfig(sample_period_s=1.0, threshold=-1.0)
+        DetectionConfig(sample_period_s=1.0, detection_window_s=0.4)  # rounds to 0 samples

@@ -12,7 +12,6 @@ from theftdetect.reconstruct import (
     write_reconstruction_csv,
 )
 from theftdetect.windowing import (
-    Segment,
     WindowConfig,
     WindowError,
     hann_filter,
@@ -20,13 +19,18 @@ from theftdetect.windowing import (
 )
 
 
-def small_cfg():
-    return WindowConfig(sample_period_s=1.0, window_s=8.0, stride_s=4.0)
+def small_cfg(window=8.0, stride=4.0):
+    return WindowConfig(sample_period_s=1.0, window_s=window, stride_s=stride)
 
 
 def train_codebook(series, cfg, k=None):
-    segs = slide_highlighted(series, cfg, "f")
-    return kmeans_fit(segs, k or len(segs), seed=0, cfg=cfg)
+    windows = slide_highlighted(series, cfg)
+    return kmeans_fit(windows, "f", k or len(windows), seed=0, cfg=cfg)
+
+
+def assembled(original, reconstructed):
+    """A Reconstruction built from its two assembled sequences alone."""
+    return Reconstruction("f", original, reconstructed, np.empty(0, dtype=int), np.empty(0))
 
 
 def test_perfect_codebook_reconstructs_exactly():
@@ -36,7 +40,7 @@ def test_perfect_codebook_reconstructs_exactly():
     cb = train_codebook(series, cfg)
     rec = reconstruct_series(series, cb)
     np.testing.assert_allclose(rec.reconstructed, rec.original_assembled, atol=1e-9)
-    assert all(d == pytest.approx(0.0, abs=1e-9) for _, _, d in rec.per_segment_assignments)
+    assert rec.distances.max() <= 1e-9
     err = error_series(rec)
     assert err.errors.max() <= 1e-9
 
@@ -48,16 +52,45 @@ def test_single_window_is_nearest_centroid():
     cb = train_codebook(train, cfg, k=3)
     series = rng.normal(size=8)
     rec = reconstruct_series(series, cb)
-    (start, idx, _), = rec.per_segment_assignments
-    assert start == 0
+    (idx,) = rec.labels
     np.testing.assert_array_equal(rec.reconstructed, cb.centroids[idx])
+
+
+@pytest.mark.parametrize("window, stride", [(8.0, 4.0), (8.0, 3.0), (5.0, 5.0), (6.0, 1.0)])
+def test_reconstruct_matches_naive_reference(window, stride):
+    # reference: one nearest-centroid search and one overlap add per window,
+    # in window order, as the paper describes the pipeline
+    rng = np.random.default_rng(8)
+    cfg = small_cfg(window, stride)
+    cb = train_codebook(rng.normal(size=60), cfg, k=5)
+    series = rng.normal(size=47)
+    length, step = cfg.window_len, cfg.stride_len
+    w = hann_filter(length)
+    starts = range(0, len(series) - length + 1, step)
+    total = starts[-1] + length
+    acc_o, acc_r, count = np.zeros(total), np.zeros(total), np.zeros(total)
+    labels, distances = [], []
+    for s in starts:
+        piece = series[s : s + length] * w
+        d2 = np.sum((cb.centroids - piece) ** 2, axis=1)
+        idx = int(np.argmin(d2))
+        labels.append(idx)
+        distances.append(float(np.sqrt(d2[idx])))
+        acc_o[s : s + length] += piece
+        acc_r[s : s + length] += cb.centroids[idx]
+        count[s : s + length] += 1
+
+    rec = reconstruct_series(series, cb)
+    np.testing.assert_array_equal(rec.labels, labels)
+    np.testing.assert_array_equal(rec.distances, distances)
+    np.testing.assert_array_equal(rec.original_assembled, acc_o / count)
+    np.testing.assert_array_equal(rec.reconstructed, acc_r / count)
 
 
 def test_error_series_elementwise_oracle():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=50), rng.normal(size=50)
-    rec = Reconstruction("f", a, b, ())
-    err = error_series(rec)
+    err = error_series(assembled(a, b))
     for i in range(50):
         expected = a[i] - b[i] if a[i] >= b[i] else b[i] - a[i]
         assert err.errors[i] == expected
@@ -66,15 +99,14 @@ def test_error_series_elementwise_oracle():
 def test_error_series_symmetry_and_sign():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=30), rng.normal(size=30)
-    e1 = error_series(Reconstruction("f", a, b, ())).errors
-    e2 = error_series(Reconstruction("f", b, a, ())).errors
+    e1 = error_series(assembled(a, b)).errors
+    e2 = error_series(assembled(b, a)).errors
     np.testing.assert_array_equal(e1, e2)
     assert (e1 >= 0).all()
 
 
 def test_error_series_arithmetic():
-    rec = Reconstruction("f", np.array([5.0]), np.array([3.0]), ())
-    assert error_series(rec).errors[0] == 2.0
+    assert error_series(assembled(np.array([5.0]), np.array([3.0]))).errors[0] == 2.0
 
 
 def test_overlap_merge_matches_direct_computation():
@@ -88,7 +120,7 @@ def test_overlap_merge_matches_direct_computation():
 
     w = hann_filter(cfg.window_len)
     n = len(rec.original_assembled)
-    starts = [s for s, _, _ in rec.per_segment_assignments]
+    starts = np.arange(len(rec.labels)) * cfg.stride_len
     for i in range(n):
         contributions = [
             series[i] * w[i - s] for s in starts if s <= i < s + cfg.window_len
@@ -97,11 +129,18 @@ def test_overlap_merge_matches_direct_computation():
 
 
 def test_overlap_merge_order_independent():
-    pieces = [(0, np.array([1.0, 2.0])), (1, np.array([4.0, 6.0]))]
-    a = overlap_merge(pieces, 3)
-    b = overlap_merge(pieces[::-1], 3)
-    np.testing.assert_array_equal(a, b)
+    # mirroring the window order (and each window) mirrors the merge: a
+    # sample's mean does not depend on which window covers it first
+    windows = np.array([[1.0, 2.0], [4.0, 6.0]])
+    a = overlap_merge(windows, 1)
+    b = overlap_merge(windows[::-1, ::-1], 1)
+    np.testing.assert_array_equal(a, b[::-1])
     np.testing.assert_array_equal(a, [1.0, 3.0, 6.0])
+
+
+def test_overlap_merge_rejects_gaps():
+    with pytest.raises(ReconstructError):
+        overlap_merge(np.ones((2, 2)), 3)
 
 
 def test_reconstruct_too_short():
@@ -117,7 +156,7 @@ def test_reconstruct_length_invariant():
     cb = train_codebook(rng.normal(size=48), cfg, k=4)
     series = rng.normal(size=31)  # tail beyond last full window dropped
     rec = reconstruct_series(series, cb)
-    last_start = rec.per_segment_assignments[-1][0]
+    last_start = (len(rec.labels) - 1) * cfg.stride_len
     assert len(rec.reconstructed) == last_start + cfg.window_len
     assert len(rec.reconstructed) <= 31
 
@@ -131,15 +170,16 @@ def test_spliced_tail_raises_distances():
     spliced = owner.copy()
     spliced[150:] = thief[150:]
     rec = reconstruct_series(spliced, cb)
-    pre = [d for s, _, d in rec.per_segment_assignments if s + cfg.window_len <= 150]
-    post = [d for s, _, d in rec.per_segment_assignments if s >= 150]
+    starts = np.arange(len(rec.labels)) * cfg.stride_len
+    pre = rec.distances[starts + cfg.window_len <= 150]
+    post = rec.distances[starts >= 150]
     assert np.mean(post) > 5 * np.mean(pre)
 
 
 def test_write_reconstruction_csv(tmp_path):
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=10), rng.normal(size=10)
-    rec = Reconstruction("f", a, b, ())
+    rec = assembled(a, b)
     err = error_series(rec)
     path = tmp_path / "rec.csv"
     write_reconstruction_csv(rec, err, path)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from theftdetect.windowing import (
-    Segment,
     WindowConfig,
     WindowError,
     hann_filter,
-    highlight,
     slide,
+    slide_highlighted,
     triangular_filter,
 )
 
@@ -20,13 +19,14 @@ def cfg(window=32, stride=16, period=1.0, filter_name="hann"):
 
 
 def test_slide_counts_64():
-    segs = slide(np.arange(64.0), cfg())
-    assert [s.start_index for s in segs] == [0, 16, 32]
+    windows = slide(np.arange(64.0), cfg())
+    assert windows.shape == (3, 32)
+    assert windows[:, 0].tolist() == [0, 16, 32]  # row i starts at sample i * stride
 
 
 def test_slide_exact_window():
-    segs = slide(np.arange(32.0), cfg())
-    assert len(segs) == 1
+    windows = slide(np.arange(32.0), cfg())
+    assert windows.shape == (1, 32)
 
 
 def test_slide_too_short():
@@ -36,8 +36,8 @@ def test_slide_too_short():
 
 def test_slide_copies_values():
     series = np.arange(64.0)
-    segs = slide(series, cfg())
-    segs[0].values[0] = 99.0
+    windows = slide(series, cfg())
+    windows[0, 0] = 99.0
     assert series[0] == 0.0
 
 
@@ -53,13 +53,15 @@ def test_slide_count_formula(length, window, stride):
         with pytest.raises(WindowError):
             slide(np.zeros(length), c)
         return
-    segs = slide(np.zeros(length), c)
-    assert len(segs) == (length - window) // stride + 1
-    # concatenation at stride covers [0, last_start + window) exactly
+    series = np.arange(float(length))
+    windows = slide(series, c)
+    assert windows.shape == ((length - window) // stride + 1, window)
+    for i, row in enumerate(windows):
+        np.testing.assert_array_equal(row, series[i * stride : i * stride + window])
+    # the rows at stride cover [0, last_start + window) exactly
     covered = np.zeros(length, dtype=bool)
-    for s in segs:
-        covered[s.start_index : s.start_index + window] = True
-    last = segs[-1].start_index
+    covered[windows.astype(int).ravel()] = True
+    last = (len(windows) - 1) * stride
     assert covered[: last + window].all()
     assert not covered[last + window :].any()
 
@@ -73,15 +75,15 @@ def test_filter_values_n32():
 
 
 def test_highlight_all_ones_equals_filter():
-    seg = Segment("f", 0, np.ones(32))
-    out = highlight(seg, cfg())
-    np.testing.assert_allclose(out.values, hann_filter(32), atol=0)
-    assert out.highlighted
+    out = slide_highlighted(np.ones(64), cfg())
+    assert out.shape == (3, 32)
+    for row in out:
+        np.testing.assert_allclose(row, hann_filter(32), atol=0)
 
 
 def test_highlight_all_zeros():
-    out = highlight(Segment("f", 0, np.zeros(32)), cfg())
-    assert (out.values == 0).all()
+    out = slide_highlighted(np.zeros(64), cfg())
+    assert (out == 0).all()
 
 
 @given(st.integers(2, 200))
@@ -100,25 +102,19 @@ def test_filter_symmetry(n):
 
 def test_highlight_endpoints_zero_any_segment():
     rng = np.random.default_rng(0)
-    out = highlight(Segment("f", 0, rng.normal(size=32) * 1e6), cfg())
-    assert out.values[0] == 0.0
-    assert out.values[-1] == 0.0
+    out = slide_highlighted(rng.normal(size=80) * 1e6, cfg())
+    assert (out[:, 0] == 0.0).all()
+    assert (out[:, -1] == 0.0).all()
 
 
 def test_highlight_linear():
     rng = np.random.default_rng(1)
-    x, y = rng.normal(size=32), rng.normal(size=32)
+    x, y = rng.normal(size=64), rng.normal(size=64)
     a, b = 2.5, -1.25
     c = cfg()
-    lhs = highlight(Segment("f", 0, a * x + b * y), c).values
-    rhs = a * highlight(Segment("f", 0, x), c).values + b * highlight(Segment("f", 0, y), c).values
+    lhs = slide_highlighted(a * x + b * y, c)
+    rhs = a * slide_highlighted(x, c) + b * slide_highlighted(y, c)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-
-def test_highlight_twice_rejected():
-    seg = highlight(Segment("f", 0, np.ones(32)), cfg())
-    with pytest.raises(WindowError):
-        highlight(seg, cfg())
 
 
 def test_window_config_validation():
