@@ -1,14 +1,32 @@
 #!/usr/bin/env python3
 """Run the full pipeline end to end on a fresh synthetic corpus.
 
+Synthesizes the corpus, selects features, trains the codebooks, tunes and
+scores the models on the validation trips, runs detection on the splice trip
+and renders the report tables.
+
 Usage: python scripts/run_pipeline.py [workdir] [--seed N]
 """
 
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator
 
-from theftdetect import cli
+from theftdetect import cli, synth
+
+
+def steps(work: Path, seed: str) -> Iterator[list[str]]:
+    """CLI argument lists in run order; each is built once the previous step has run."""
+    corpus, models, out = str(work / "corpus"), str(work / "models"), str(work / "out")
+    yield ["synth", "--data", corpus, "--seed", seed]
+    yield ["ingest", "--data", corpus, "--out", models, "--seed", seed]
+    yield ["train", "--data", corpus, "--out", models, "--seed", seed]
+    yield ["evaluate", "--data", corpus, "--models", models, "--out", out, "--seed", seed]
+    splice = next(t for t in synth.load_manifest(corpus)["trips"] if t["role"] == "val-splice")
+    yield ["detect", "--data", corpus, "--models", models, "--out", out,
+           "--trip", str(work / "corpus" / splice["file"])]
+    yield ["report", "--out", out, "--report", str(work / "out" / "report.json")]
 
 
 def main() -> int:
@@ -18,22 +36,12 @@ def main() -> int:
     args = parser.parse_args()
 
     work = Path(args.workdir)
-    corpus, models, out = work / "corpus", work / "models", work / "out"
-    seed = str(args.seed)
-
-    steps = [
-        ["synth", "--data", str(corpus), "--seed", seed],
-        ["ingest", "--data", str(corpus), "--out", str(models), "--seed", seed],
-        ["train", "--data", str(corpus), "--out", str(models), "--seed", seed],
-        ["evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out), "--seed", seed],
-        ["report", "--out", str(out), "--report", str(out / "report.json")],
-    ]
-    for step in steps:
+    for step in steps(work, str(args.seed)):
         print(f"--- theftdetect {' '.join(step)}")
         code = cli.main(step)
         if code != 0:
             return code
-    print(f"done; see {out / 'report.md'}")
+    print(f"done; see {work / 'out' / 'report.md'}")
     return 0
 
 

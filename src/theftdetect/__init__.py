@@ -3,7 +3,7 @@
 Pipeline: ingest trip CSVs -> select essential features -> highlighted
 (n_windows, window_len) matrix per feature -> per-feature k-means codebooks ->
 batched nearest-centroid reconstruction -> per-window mean error > threshold
--> majority-of-5 vote over the (models, windows) theft matrix.
+-> strict-majority vote of the m models over the (models, windows) theft matrix.
 """
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -62,11 +63,6 @@ class RunConfig:
             window_s=self.window_s,
             stride_s=self.stride_s,
             filter_name=self.filter_name,
-        )
-
-    def detection_config(self) -> DetectionConfig:
-        return DetectionConfig(
-            sample_period_s=self.sample_period_s, detection_window_s=self.detection_window_s
         )
 
 
@@ -159,13 +155,25 @@ def train_codebooks(
     return books
 
 
+def detection_config(books: dict[str, Codebook], cfg: RunConfig) -> DetectionConfig:
+    """Detection windows at the codebooks' sample period (``load_models`` makes it one)."""
+    period = next(iter(books.values())).cfg.sample_period_s
+    return DetectionConfig(sample_period_s=period, detection_window_s=cfg.detection_window_s)
+
+
 def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook], cfg: RunConfig) -> np.ndarray:
     """Representative error per (model, detection window) of one trip, rows in ``books`` order.
 
     A model's verdict on a window is its error > the model's threshold. Trips
-    with a missing or non-finite sample in a model's feature are rejected.
+    sampled at another period than the codebooks, or with a missing or
+    non-finite sample in a model's feature, are rejected.
     """
-    dcfg = cfg.detection_config()
+    dcfg = detection_config(books, cfg)
+    if trip.sample_period_s != dcfg.sample_period_s:
+        raise ingest.IngestError(
+            f"trip {trip.trip_id} is sampled every {trip.sample_period_s} s, "
+            f"but the codebooks every {dcfg.sample_period_s} s"
+        )
     rows = []
     for feature, cb in books.items():
         series = trip.features.get(feature)
@@ -282,8 +290,17 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     trip = ingest.parse_trip(trip_path, cfg.sample_period_s)
     errors = trip_model_verdicts(trip, books, cfg)
     theft = errors > np.array([[thresholds[f]] for f in books])
-    starts = [i * cfg.detection_config().detection_len for i in range(errors.shape[1])]
-    report: dict = {"trip_id": trip.trip_id, "models": {}, "ensemble": None}
+    votes, flagged = detect.ensemble_vote(theft)
+    dlen = detection_config(books, cfg).detection_len
+    starts = range(0, errors.shape[1] * dlen, dlen)
+    report: dict = {
+        "trip_id": trip.trip_id,
+        "models": {},
+        "ensemble": [
+            {"window_start": s, "theft_votes": v, "is_theft": t}
+            for s, v, t in zip(starts, votes.tolist(), flagged.tolist())
+        ],
+    }
     for feature, model_errors, model_theft in zip(books, errors.tolist(), theft.tolist()):
         report["models"][feature] = {
             "threshold": thresholds[feature],
@@ -292,14 +309,6 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
                 for s, e, t in zip(starts, model_errors, model_theft)
             ],
         }
-    flagged = theft[0]
-    if len(books) == detect.ENSEMBLE_SIZE:
-        votes = detect.ensemble_vote(theft)
-        flagged = votes >= detect.MAJORITY
-        report["ensemble"] = [
-            {"window_start": s, "theft_votes": v, "is_theft": t}
-            for s, v, t in zip(starts, votes.tolist(), flagged.tolist())
-        ]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"detection_{trip.trip_id}.json"
@@ -321,7 +330,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
-    dlen = cfg.detection_config().detection_len
+    dlen = detection_config(books, cfg).detection_len
     trip_errors, trip_labels = [], []
     for entry, trip in val:
         trip_errors.append(trip_model_verdicts(trip, books, cfg))
@@ -329,42 +338,38 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
         trip_labels.append(window_labels(sample_labels, trip_errors[-1].shape[1], dlen))
     # one row per model, validation windows in trip order
     errors = np.concatenate(trip_errors, axis=1)
-    all_labels = np.concatenate(trip_labels).tolist()
+    labels = np.concatenate(trip_labels)
 
     report: dict = {
         "owner": cfg.owner,
         "seed": cfg.seed,
         "validation": {"owner_trips": owner_count, "thief_trips": thief_count},
         "models": {},
-        "ensemble": None,
     }
     thresholds: dict[str, float] = {}
     curves: dict[str, detect.RocCurve] = {}
-    predictions = []
-    for feature, model_errors in zip(books, errors.tolist()):
+    theft = []
+    for feature, model_errors in zip(books, errors):
         if isinstance(cfg.thresholds, dict) and feature in cfg.thresholds:
             theta = cfg.thresholds[feature]
             curve = None
         else:
             grid = detect.threshold_grid(model_errors)
-            curve = detect.roc_sweep(list(zip(model_errors, all_labels)), grid)
+            curve = detect.roc_sweep(model_errors, labels, grid)
             theta = detect.optimize_threshold(curve)
             curves[feature] = curve
         thresholds[feature] = theta
-        predictions.append([e > theta for e in model_errors])
-        metrics = detect.compute_metrics(predictions[-1], all_labels)
+        theft.append(model_errors > theta)
         report["models"][feature] = {
             "threshold": theta,
             "auc": curve.auc if curve else None,
-            "metrics": detect.metrics_dict(metrics),
+            "metrics": detect.compute_metrics(theft[-1], labels),
         }
-
-    if len(books) == detect.ENSEMBLE_SIZE:
-        ens_pred = (detect.ensemble_vote(np.array(predictions)) >= detect.MAJORITY).tolist()
-        report["ensemble"] = {
-            "rule": f"majority {detect.MAJORITY} of {detect.ENSEMBLE_SIZE}",
-            "metrics": detect.metrics_dict(detect.compute_metrics(ens_pred, all_labels)),
-        }
+    _, flagged = detect.ensemble_vote(np.array(theft))
+    report["ensemble"] = {
+        "rule": f"majority {len(books) // 2 + 1} of {len(books)}",
+        "metrics": detect.compute_metrics(flagged, labels),
+    }
 
     report["thresholds"] = thresholds
     return report, curves
@@ -381,21 +386,23 @@ def cmd_evaluate(cfg: RunConfig, models_dir: str) -> int:
     for feature, curve in curves.items():
         detect.write_roc_csv(curve, out_dir / f"roc_{feature}.csv")
     (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
-    for feature, block in report["models"].items():
-        m = block["metrics"]
+    for _, feature, threshold, m in report_rows(report):
+        head = "ensemble:" if threshold is None else f"{feature}: threshold={threshold:.6g}"
         print(
-            f"{feature}: threshold={block['threshold']:.6g} "
-            f"acc={m['accuracy']:.4f} prec={m['precision']:.4f} "
-            f"rec={m['recall']:.4f} f1={m['f1']:.4f}"
-        )
-    if report["ensemble"]:
-        m = report["ensemble"]["metrics"]
-        print(
-            f"ensemble: acc={m['accuracy']:.4f} prec={m['precision']:.4f} "
+            f"{head} acc={m['accuracy']:.4f} prec={m['precision']:.4f} "
             f"rec={m['recall']:.4f} f1={m['f1']:.4f}"
         )
     print(f"wrote {out_dir / 'report.json'}")
     return EXIT_OK
+
+
+def report_rows(report: dict) -> Iterator[tuple[str, str, float | None, dict]]:
+    """(model, feature, threshold, metrics) per table row; the ensemble row has
+    the vote rule as its feature and no threshold."""
+    for i, (feature, block) in enumerate(report["models"].items(), start=1):
+        yield f"Model {i}", feature, block["threshold"], block["metrics"]
+    if report.get("ensemble"):
+        yield "Ensemble", report["ensemble"]["rule"], None, report["ensemble"]["metrics"]
 
 
 def render_markdown(report: dict) -> str:
@@ -403,81 +410,31 @@ def render_markdown(report: dict) -> str:
         "| Model | Feature | Optimized Threshold | Accuracy | Precision | Recall | F1 Score |",
         "|---|---|---|---|---|---|---|",
     ]
-    for i, (feature, block) in enumerate(report["models"].items(), start=1):
-        m = block["metrics"]
+    for model, feature, threshold, m in report_rows(report):
+        theta = "" if threshold is None else f"{threshold:.6g}"
         lines.append(
-            f"| Model {i} | {feature} | {block['threshold']:.6g} | "
-            f"{m['accuracy']:.4f} | {m['precision']:.4f} | {m['recall']:.4f} | {m['f1']:.4f} |"
-        )
-    if report.get("ensemble"):
-        m = report["ensemble"]["metrics"]
-        lines.append(
-            f"| Ensemble | {report['ensemble']['rule']} |  | "
+            f"| {model} | {feature} | {theta} | "
             f"{m['accuracy']:.4f} | {m['precision']:.4f} | {m['recall']:.4f} | {m['f1']:.4f} |"
         )
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(cfg: RunConfig, report_path: str, reconstruction_csv: str | None) -> int:
+def cmd_report(cfg: RunConfig, report_path: str) -> int:
     report = json.loads(Path(report_path).read_text(encoding="utf-8"))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
     rows = ["model,feature,threshold,accuracy,precision,recall,f1"]
-    for i, (feature, block) in enumerate(report["models"].items(), start=1):
-        m = block["metrics"]
+    for model, feature, threshold, m in report_rows(report):
+        if threshold is None:
+            feature, threshold = "majority", ""
         rows.append(
-            f"Model {i},{feature},{block['threshold']},{m['accuracy']},"
+            f"{model},{feature},{threshold},{m['accuracy']},"
             f"{m['precision']},{m['recall']},{m['f1']}"
         )
-    if report.get("ensemble"):
-        m = report["ensemble"]["metrics"]
-        rows.append(
-            f"Ensemble,majority,,{m['accuracy']},{m['precision']},{m['recall']},{m['f1']}"
-        )
     (out_dir / "report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    if reconstruction_csv:
-        svg = render_reconstruction_svg(Path(reconstruction_csv))
-        (out_dir / "reconstruction.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}")
     return EXIT_OK
-
-
-def render_reconstruction_svg(csv_path: Path, width: int = 900, height: int = 300) -> str:
-    """Line plot of original/reconstructed/error from a reconstruction dump."""
-    import csv as csvmod
-
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csvmod.DictReader(fh))
-    series = {
-        name: [float(r[name]) for r in rows]
-        for name in ("original_assembled", "reconstructed", "error")
-    }
-    lo = min(min(v) for v in series.values())
-    hi = max(max(v) for v in series.values())
-    span = (hi - lo) or 1.0
-    n = len(rows)
-
-    def polyline(values: list[float], color: str) -> str:
-        pts = " ".join(
-            f"{i * (width - 20) / max(n - 1, 1) + 10:.2f},"
-            f"{height - 10 - (v - lo) / span * (height - 20):.2f}"
-            for i, v in enumerate(values)
-        )
-        return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
-
-    body = "\n".join(
-        polyline(series[name], color)
-        for name, color in (
-            ("original_assembled", "#1f77b4"),
-            ("reconstructed", "#2ca02c"),
-            ("error", "#d62728"),
-        )
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
-        f"{body}\n</svg>\n"
-    )
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -522,10 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--models", required=True)
 
-    p_report = sub.add_parser("report", help="render markdown/CSV/SVG from a report")
+    p_report = sub.add_parser("report", help="render the markdown and CSV tables of a report")
     common(p_report)
     p_report.add_argument("--report", required=True, dest="report_path")
-    p_report.add_argument("--reconstruction-csv")
 
     return parser
 
@@ -558,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.models)
         if args.command == "report":
-            return cmd_report(cfg, args.report_path, args.reconstruction_csv)
+            return cmd_report(cfg, args.report_path)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,9 +8,7 @@ same way so the two sequences compare sample-for-sample.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,16 +31,6 @@ class Reconstruction:
     def __post_init__(self) -> None:
         if len(self.original_assembled) != len(self.reconstructed):
             raise ReconstructError("assembled sequences differ in length")
-
-
-@dataclass(frozen=True)
-class ErrorSeries:
-    feature: str
-    errors: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.errors < 0):
-            raise ReconstructError("errors must be nonnegative")
 
 
 def overlap_merge(windows: np.ndarray, stride: int) -> np.ndarray:
@@ -73,18 +61,6 @@ def reconstruct_series(series: np.ndarray, cb: Codebook) -> Reconstruction:
     )
 
 
-def error_series(rec: Reconstruction) -> ErrorSeries:
+def error_series(rec: Reconstruction) -> np.ndarray:
     """Per-sample absolute difference between original and reconstruction."""
-    return ErrorSeries(
-        feature=rec.feature,
-        errors=np.abs(rec.original_assembled - rec.reconstructed),
-    )
-
-
-def write_reconstruction_csv(rec: Reconstruction, err: ErrorSeries, path: str | Path) -> None:
-    """Dump index/original/reconstructed/error columns for plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "original_assembled", "reconstructed", "error"])
-        for i, (o, r, e) in enumerate(zip(rec.original_assembled, rec.reconstructed, err.errors)):
-            writer.writerow([i, repr(float(o)), repr(float(r)), repr(float(e))])
+    return np.abs(rec.original_assembled - rec.reconstructed)

@@ -71,12 +71,12 @@ def test_splice_localization(run):
         for feature, cb in books.items():
             rec = reconstruct.reconstruct_series(trip.features[feature], cb)
             err = reconstruct.error_series(rec)
-            inside = err.errors[sample_labels[: len(err.errors)]]
-            outside = err.errors[~sample_labels[: len(err.errors)]]
+            inside = err[sample_labels[: len(err)]]
+            outside = err[~sample_labels[: len(err)]]
             assert inside.mean() >= 3.0 * outside.mean(), feature
             theft.append(detect.windows_verdicts(err, dcfg) > thresholds[feature])
 
-        ens = detect.ensemble_vote(np.array(theft)) >= detect.MAJORITY
+        _, ens = detect.ensemble_vote(np.array(theft))
         labels = window_labels(sample_labels, len(theft[0]), dcfg.detection_len)
         flagged = labels[ens]
         assert flagged.size, "no theft windows flagged at all"
@@ -154,8 +154,7 @@ def test_reconstruction_identity(run):
         cb = cluster.kmeans_fit(x, feature, len(x), seed=0, restarts=1, cfg=cfg)
         for t in trips:
             rec = reconstruct.reconstruct_series(t.features[feature], cb)
-            err = reconstruct.error_series(rec)
-            assert err.errors.max() <= 1e-9
+            assert reconstruct.error_series(rec).max() <= 1e-9
 
 
 def test_detection_properties():
@@ -163,18 +162,17 @@ def test_detection_properties():
         rng = np.random.default_rng(1)
         dcfg = DetectionConfig(sample_period_s=1.0)
         for _ in range(50):
-            errs = reconstruct.ErrorSeries("f", rng.uniform(0, 10, size=96))
+            errs = rng.uniform(0, 10, size=96)
             t_lo, t_hi = sorted(rng.uniform(0, 10, size=2))
             means = detect.windows_verdicts(errs, dcfg)
             assert (means > t_hi).sum() <= (means > t_lo).sum()
 
-        boundary = reconstruct.ErrorSeries("f", np.full(32, 4.25))
-        (mean,) = detect.windows_verdicts(boundary, dcfg)
+        (mean,) = detect.windows_verdicts(np.full(32, 4.25), dcfg)
         assert not mean > 4.25
 
         patterns = np.array(list(itertools.product([False, True], repeat=5)))
-        votes = detect.ensemble_vote(patterns.T)
-        np.testing.assert_array_equal(votes >= detect.MAJORITY, patterns.sum(axis=1) >= 3)
+        _, theft = detect.ensemble_vote(patterns.T)
+        np.testing.assert_array_equal(theft, patterns.sum(axis=1) >= 3)
 
 
 def test_roc_and_metrics_oracles():
@@ -183,28 +181,28 @@ def test_roc_and_metrics_oracles():
         labeled = [(float(rng.uniform(0, 10)), bool(rng.integers(2))) for _ in range(50)]
         labeled[0] = (labeled[0][0], True)
         labeled[1] = (labeled[1][0], False)
-        grid = detect.threshold_grid([e for e, _ in labeled])
-        curve = detect.roc_sweep(labeled, grid)
+        errs = np.array([e for e, _ in labeled])
+        labels = np.array([lab for _, lab in labeled])
+        curve = detect.roc_sweep(errs, labels, detect.threshold_grid(errs))
         pos = sum(1 for _, lab in labeled if lab)
         neg = len(labeled) - pos
-        for thr, tpr, fpr in curve.points:
+        for thr, tpr, fpr in zip(curve.thresholds, curve.tpr, curve.fpr):
             tp = sum(1 for e, lab in labeled if lab and e > thr)
             fp = sum(1 for e, lab in labeled if not lab and e > thr)
             assert tpr == tp / pos
             assert fpr == fp / neg
 
-        perfect = [(float(i), False) for i in range(20)] + [
-            (float(i + 40), True) for i in range(20)
-        ]
-        pcurve = detect.roc_sweep(perfect, detect.threshold_grid([e for e, _ in perfect]))
+        perfect = np.concatenate([np.arange(20.0), np.arange(20.0) + 40])
+        perfect_labels = np.arange(40) >= 20
+        pcurve = detect.roc_sweep(perfect, perfect_labels, detect.threshold_grid(perfect))
         assert abs(pcurve.auc - 1.0) <= 1e-12
 
-        preds = [bool(v) for v in rng.integers(2, size=200)]
-        labels = [bool(v) for v in rng.integers(2, size=200)]
+        preds = np.array([bool(v) for v in rng.integers(2, size=200)])
+        labels = np.array([bool(v) for v in rng.integers(2, size=200)])
         m = detect.compute_metrics(preds, labels)
-        assert m.accuracy == (m.tp + m.tn) / 200
-        if m.precision + m.recall > 0:
-            assert m.f1 == 2 * m.precision * m.recall / (m.precision + m.recall)
+        assert m["accuracy"] == (m["tp"] + m["tn"]) / 200
+        if m["precision"] + m["recall"] > 0:
+            assert m["f1"] == 2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
 
 
 def test_determinism_byte_identical(run, tmp_path):

@@ -91,7 +91,7 @@ def test_evaluate_outputs(pipeline):
     for block in report["models"].values():
         for key in ("accuracy", "precision", "recall", "f1"):
             assert 0.0 <= block["metrics"][key] <= 1.0
-    assert report["ensemble"] is not None
+    assert report["ensemble"]["rule"] == "majority 3 of 5"
     assert (out / "report.md").read_text().startswith("| Model | Feature |")
     assert len(list(out.glob("roc_*.csv"))) == 5
     assert (pipeline / "models" / "thresholds.json").exists()
@@ -179,6 +179,51 @@ def test_detect_mixed_window_configs_is_data_error(pipeline, tmp_path):
     assert run("detect", "--data", str(pipeline / "corpus"), "--models", str(models),
                "--out", str(tmp_path / "out"),
                "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_DATA
+
+
+def test_detect_sample_period_mismatch_is_data_error(pipeline, tmp_path, capsys):
+    corpus = pipeline / "corpus"
+    trip = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    out = tmp_path / "out"
+    assert run("detect", "--data", str(corpus), "--models", str(pipeline / "models"),
+               "--out", str(out), "--trip", str(corpus / trip["file"]),
+               "--sample-period", "2") == EXIT_DATA
+    assert "every 2.0 s, but the codebooks every 1.0 s" in capsys.readouterr().err
+    assert not list(out.glob("detection_*.json"))
+
+    # evaluate reads the corpus period from its manifest
+    shutil.copytree(corpus, tmp_path / "corpus")
+    manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+    manifest["sample_period_s"] = 2.0
+    (tmp_path / "corpus" / "manifest.json").write_text(json.dumps(manifest))
+    assert run("evaluate", "--data", str(tmp_path / "corpus"), "--models", str(pipeline / "models"),
+               "--out", str(out)) == EXIT_DATA
+    assert not (out / "report.json").exists()
+
+
+def test_four_models_vote_majority_3_of_4(pipeline, tmp_path):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    sorted(models.glob("codebook_*.json"))[0].unlink()
+    out = tmp_path / "out"
+    corpus = pipeline / "corpus"
+    assert run("evaluate", "--data", str(corpus), "--models", str(models),
+               "--out", str(out), "--seed", "11") == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["models"]) == 4
+    assert report["ensemble"]["rule"] == "majority 3 of 4"
+    assert "| Ensemble | majority 3 of 4 |" in (out / "report.md").read_text()
+
+    trip = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-splice")
+    assert run("detect", "--data", str(corpus), "--models", str(models),
+               "--out", str(out), "--trip", str(corpus / trip["file"])) == EXIT_OK
+    doc = json.loads((out / f"detection_{trip['trip_id']}.json").read_text())
+    assert len(doc["models"]) == 4
+    for i, window in enumerate(doc["ensemble"]):
+        votes = sum(m["verdicts"][i]["is_theft"] for m in doc["models"].values())
+        assert window["theft_votes"] == votes
+        assert window["is_theft"] == (votes >= 3)
+    assert any(w["is_theft"] for w in doc["ensemble"])
 
 
 def test_detect_unknown_feature_schema_error(pipeline, tmp_path):

@@ -2,12 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from theftdetect.detect import (
     DegenerateLabelsError,
     DetectError,
-    MAJORITY,
     DetectionConfig,
     compute_metrics,
     ensemble_vote,
@@ -16,11 +15,10 @@ from theftdetect.detect import (
     threshold_grid,
     windows_verdicts,
 )
-from theftdetect.reconstruct import ErrorSeries
 
 
 def errors(values):
-    return ErrorSeries("f", np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 def dcfg(window=32.0, period=1.0):
@@ -81,28 +79,50 @@ def test_threshold_monotonicity(errs, t1, t2):
 
 def test_ensemble_truth_table_all_32_patterns():
     patterns = np.array(list(itertools.product([False, True], repeat=5)))
-    votes = ensemble_vote(patterns.T)  # one window per pattern
+    votes, theft = ensemble_vote(patterns.T)  # one window per pattern
     np.testing.assert_array_equal(votes, patterns.sum(axis=1))
-    np.testing.assert_array_equal(votes >= MAJORITY, patterns.sum(axis=1) >= 3)
+    np.testing.assert_array_equal(theft, patterns.sum(axis=1) >= 3)
 
 
 def test_ensemble_permutation_symmetric():
     pattern = (True, True, False, True, False)
-    (base,) = ensemble_vote(np.array(pattern)[:, None])
+    (base,), _ = ensemble_vote(np.array(pattern)[:, None])
     for perm in itertools.permutations(pattern):
-        (votes,) = ensemble_vote(np.array(perm)[:, None])
+        (votes,), _ = ensemble_vote(np.array(perm)[:, None])
         assert votes == base
 
 
 def test_ensemble_wrong_model_count():
     with pytest.raises(DetectError):
-        ensemble_vote(np.ones((2, 1), dtype=bool))
+        ensemble_vote(np.ones((0, 3), dtype=bool))
     with pytest.raises(DetectError):
         ensemble_vote(np.ones(5, dtype=bool))
 
 
+@given(m=st.integers(1, 7), data=st.data())
+def test_ensemble_majority_of_m(m, data):
+    windows = data.draw(st.integers(0, 20))
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=windows, max_size=windows),
+                              min_size=m, max_size=m))
+    votes, theft = ensemble_vote(np.array(rows, dtype=bool).reshape(m, windows))
+    for w in range(windows):
+        count = sum(row[w] for row in rows)
+        assert votes[w] == count
+        assert theft[w] == (count > m / 2)
+
+
 TOY = [(1.0, False), (2.0, False), (3.0, True), (4.0, True)]
 TOY_THRESHOLDS = [0.5, 1.5, 2.5, 3.5, 4.5]
+
+
+def split(labeled):
+    """(errors, labels) arrays from (error, label) pairs."""
+    return np.array([e for e, _ in labeled], dtype=float), np.array([l for _, l in labeled], dtype=bool)
+
+
+def sweep(labeled, thresholds=None):
+    errs, labels = split(labeled)
+    return roc_sweep(errs, labels, threshold_grid(errs) if thresholds is None else thresholds)
 
 
 def brute_force_rates(labeled, thr):
@@ -113,9 +133,79 @@ def brute_force_rates(labeled, thr):
     return tp / (tp + fn), fp / (fp + tn)
 
 
+def reference_grid(errs):
+    unique = sorted(set(errs))
+    span = (unique[-1] - unique[0]) or 1.0
+    return [unique[0] - 0.5 * span] + [(a + b) / 2 for a, b in zip(unique, unique[1:])] + [
+        unique[-1] + 0.5 * span
+    ]
+
+
+def reference_auc(points):
+    ordered = sorted(points, key=lambda p: (p[2], p[1]))
+    return float(np.trapezoid([p[1] for p in ordered], [p[2] for p in ordered]))
+
+
+def reference_threshold(points):
+    best_thr, best_j = None, -np.inf
+    for thr, tpr, fpr in points:
+        if tpr - fpr > best_j or (tpr - fpr == best_j and thr > best_thr):
+            best_j, best_thr = tpr - fpr, thr
+    return best_thr
+
+
+def reference_metrics(preds, labels):
+    pairs = list(zip(preds, labels))
+    tp = sum(1 for p, l in pairs if p and l)
+    fp = sum(1 for p, l in pairs if p and not l)
+    tn = sum(1 for p, l in pairs if not p and not l)
+    fn = sum(1 for p, l in pairs if not p and l)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    accuracy = (tp + tn) / len(pairs) if pairs else 0.0
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
+            "accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
+
+
+# few distinct values so ties are common; p_theft skews the label balance
+tied_errors = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.5, 2.5000000000000004]),
+                        st.floats(0, 50, allow_nan=False))
+
+
+@st.composite
+def labeled_windows(draw):
+    p_theft = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    n = draw(st.integers(2, 80))
+    errs = draw(st.lists(tied_errors, min_size=n, max_size=n))
+    labels = [draw(st.floats(0, 1)) < p_theft for _ in range(n)]
+    return list(zip(errs, labels))
+
+
+@given(labeled=labeled_windows())
+def test_roc_sweep_equals_reference(labeled):
+    assume(0 < sum(lab for _, lab in labeled) < len(labeled))
+    grid = reference_grid([e for e, _ in labeled])
+    points = [(thr, *brute_force_rates(labeled, thr)) for thr in grid]
+    curve = sweep(labeled)
+    assert curve.thresholds.tolist() == grid
+    assert curve.tpr.tolist() == [p[1] for p in points]
+    assert curve.fpr.tolist() == [p[2] for p in points]
+    assert curve.auc == reference_auc(points)
+    assert optimize_threshold(curve) == reference_threshold(points)
+
+
+@given(pairs=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=80))
+def test_compute_metrics_equals_reference(pairs):
+    preds, labels = [p for p, _ in pairs], [l for _, l in pairs]
+    assert compute_metrics(np.array(preds, dtype=bool), np.array(labels, dtype=bool)) == (
+        reference_metrics(preds, labels)
+    )
+
+
 def test_roc_toy_matches_brute_force():
-    curve = roc_sweep(TOY, TOY_THRESHOLDS)
-    for thr, tpr, fpr in curve.points:
+    curve = sweep(TOY, TOY_THRESHOLDS)
+    for thr, tpr, fpr in zip(curve.thresholds, curve.tpr, curve.fpr):
         etpr, efpr = brute_force_rates(TOY, thr)
         assert tpr == etpr
         assert fpr == efpr
@@ -127,9 +217,8 @@ def test_roc_random_matches_brute_force():
     if not any(lab for _, lab in labeled) or all(lab for _, lab in labeled):
         labeled[0] = (labeled[0][0], True)
         labeled[1] = (labeled[1][0], False)
-    grid = threshold_grid([e for e, _ in labeled])
-    curve = roc_sweep(labeled, grid)
-    for thr, tpr, fpr in curve.points:
+    curve = sweep(labeled)
+    for thr, tpr, fpr in zip(curve.thresholds, curve.tpr, curve.fpr):
         etpr, efpr = brute_force_rates(labeled, thr)
         assert tpr == etpr
         assert fpr == efpr
@@ -137,14 +226,12 @@ def test_roc_random_matches_brute_force():
 
 def test_auc_perfect_separation():
     labeled = [(float(i), False) for i in range(10)] + [(float(i + 20), True) for i in range(10)]
-    curve = roc_sweep(labeled, threshold_grid([e for e, _ in labeled]))
-    assert curve.auc == pytest.approx(1.0, abs=1e-12)
+    assert sweep(labeled).auc == pytest.approx(1.0, abs=1e-12)
 
 
 def test_auc_no_information():
     labeled = [(5.0, False)] * 10 + [(5.0, True)] * 10
-    curve = roc_sweep(labeled, threshold_grid([5.0]))
-    assert curve.auc == pytest.approx(0.5, abs=1e-12)
+    assert sweep(labeled).auc == pytest.approx(0.5, abs=1e-12)
 
 
 def test_auc_invariant_under_monotone_transform():
@@ -152,15 +239,13 @@ def test_auc_invariant_under_monotone_transform():
     labeled = [(float(rng.uniform(1, 10)), bool(rng.integers(2))) for _ in range(40)]
     labeled[0] = (labeled[0][0], True)
     labeled[1] = (labeled[1][0], False)
-    curve = roc_sweep(labeled, threshold_grid([e for e, _ in labeled]))
     transformed = [(e ** 3 + 2.0, lab) for e, lab in labeled]
-    curve2 = roc_sweep(transformed, threshold_grid([e for e, _ in transformed]))
-    assert curve2.auc == pytest.approx(curve.auc, abs=1e-12)
+    assert sweep(transformed).auc == pytest.approx(sweep(labeled).auc, abs=1e-12)
 
 
 def test_roc_degenerate_labels():
     with pytest.raises(DegenerateLabelsError):
-        roc_sweep([(1.0, True), (2.0, True)], [0.5])
+        sweep([(1.0, True), (2.0, True)], [0.5])
 
 
 def test_roc_rates_non_increasing_in_threshold():
@@ -168,66 +253,63 @@ def test_roc_rates_non_increasing_in_threshold():
     labeled = [(float(rng.uniform(0, 5)), bool(rng.integers(2))) for _ in range(60)]
     labeled[0] = (labeled[0][0], True)
     labeled[1] = (labeled[1][0], False)
-    curve = roc_sweep(labeled, threshold_grid([e for e, _ in labeled]))
-    tprs = [p[1] for p in curve.points]
-    fprs = [p[2] for p in curve.points]
-    assert all(a >= b for a, b in zip(tprs, tprs[1:]))
-    assert all(a >= b for a, b in zip(fprs, fprs[1:]))
+    curve = sweep(labeled)
+    assert (np.diff(curve.tpr) <= 0).all()
+    assert (np.diff(curve.fpr) <= 0).all()
 
 
 def test_optimize_threshold_toy():
     # J enumerated by hand: J(2.5) = 1 is the unique maximum
-    curve = roc_sweep(TOY, TOY_THRESHOLDS)
-    assert optimize_threshold(curve) == 2.5
+    assert optimize_threshold(sweep(TOY, TOY_THRESHOLDS)) == 2.5
 
 
 def test_optimize_threshold_single_candidate():
-    curve = roc_sweep(TOY, [2.5])
-    assert optimize_threshold(curve) == 2.5
+    assert optimize_threshold(sweep(TOY, [2.5])) == 2.5
 
 
 def test_optimize_threshold_flat_curve_takes_largest():
-    curve = roc_sweep([(5.0, False)] * 5 + [(5.0, True)] * 5, [1.0, 2.0, 3.0])
+    curve = sweep([(5.0, False)] * 5 + [(5.0, True)] * 5, [1.0, 2.0, 3.0])
     assert optimize_threshold(curve) == 3.0
 
 
 def test_metrics_all_correct():
-    m = compute_metrics([True, False, True], [True, False, True])
-    assert m.accuracy == m.precision == m.recall == m.f1 == 1.0
+    m = compute_metrics(np.array([True, False, True]), np.array([True, False, True]))
+    assert m["accuracy"] == m["precision"] == m["recall"] == m["f1"] == 1.0
 
 
 def test_metrics_arithmetic():
     # tp=2 fp=1 fn=1 tn=6
-    preds = [True, True, True, False] + [False] * 6
-    labels = [True, True, False, True] + [False] * 6
+    preds = np.array([True, True, True, False] + [False] * 6)
+    labels = np.array([True, True, False, True] + [False] * 6)
     m = compute_metrics(preds, labels)
-    assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 1, 6)
-    assert m.accuracy == pytest.approx(0.8)
-    assert m.precision == pytest.approx(2 / 3)
-    assert m.recall == pytest.approx(2 / 3)
-    assert m.f1 == pytest.approx(2 / 3)
+    assert (m["tp"], m["fp"], m["fn"], m["tn"]) == (2, 1, 1, 6)
+    assert m["accuracy"] == pytest.approx(0.8)
+    assert m["precision"] == pytest.approx(2 / 3)
+    assert m["recall"] == pytest.approx(2 / 3)
+    assert m["f1"] == pytest.approx(2 / 3)
 
 
 def test_metrics_identities_exact():
     rng = np.random.default_rng(3)
-    preds = [bool(v) for v in rng.integers(2, size=100)]
-    labels = [bool(v) for v in rng.integers(2, size=100)]
+    preds = rng.integers(2, size=100).astype(bool)
+    labels = rng.integers(2, size=100).astype(bool)
     m = compute_metrics(preds, labels)
-    assert m.tp + m.fp + m.tn + m.fn == 100
-    assert m.accuracy == (m.tp + m.tn) / 100
-    if m.precision + m.recall > 0:
-        assert m.f1 == 2 * m.precision * m.recall / (m.precision + m.recall)
+    assert m["tp"] + m["fp"] + m["tn"] + m["fn"] == 100
+    assert m["accuracy"] == (m["tp"] + m["tn"]) / 100
+    if m["precision"] + m["recall"] > 0:
+        assert m["f1"] == 2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
 
 
 def test_metrics_zero_denominators_flagged():
-    m = compute_metrics([False, False], [False, False])
-    assert m.precision == 0.0 and m.degenerate_precision
-    assert m.recall == 0.0 and m.degenerate_recall
+    m = compute_metrics(np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
+    assert m["precision"] == 0.0
+    assert m["recall"] == 0.0
+    assert m["f1"] == 0.0
 
 
 def test_metrics_length_mismatch():
     with pytest.raises(DetectError):
-        compute_metrics([True], [True, False])
+        compute_metrics(np.array([True]), np.array([True, False]))
 
 
 def test_detection_config_validation():

@@ -3,13 +3,11 @@ import pytest
 
 from theftdetect.cluster import kmeans_fit
 from theftdetect.reconstruct import (
-    ErrorSeries,
     ReconstructError,
     Reconstruction,
     error_series,
     overlap_merge,
     reconstruct_series,
-    write_reconstruction_csv,
 )
 from theftdetect.windowing import (
     WindowConfig,
@@ -41,8 +39,7 @@ def test_perfect_codebook_reconstructs_exactly():
     rec = reconstruct_series(series, cb)
     np.testing.assert_allclose(rec.reconstructed, rec.original_assembled, atol=1e-9)
     assert rec.distances.max() <= 1e-9
-    err = error_series(rec)
-    assert err.errors.max() <= 1e-9
+    assert error_series(rec).max() <= 1e-9
 
 
 def test_single_window_is_nearest_centroid():
@@ -93,20 +90,20 @@ def test_error_series_elementwise_oracle():
     err = error_series(assembled(a, b))
     for i in range(50):
         expected = a[i] - b[i] if a[i] >= b[i] else b[i] - a[i]
-        assert err.errors[i] == expected
+        assert err[i] == expected
 
 
 def test_error_series_symmetry_and_sign():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=30), rng.normal(size=30)
-    e1 = error_series(assembled(a, b)).errors
-    e2 = error_series(assembled(b, a)).errors
+    e1 = error_series(assembled(a, b))
+    e2 = error_series(assembled(b, a))
     np.testing.assert_array_equal(e1, e2)
     assert (e1 >= 0).all()
 
 
 def test_error_series_arithmetic():
-    assert error_series(assembled(np.array([5.0]), np.array([3.0]))).errors[0] == 2.0
+    assert error_series(assembled(np.array([5.0]), np.array([3.0])))[0] == 2.0
 
 
 def test_overlap_merge_matches_direct_computation():
@@ -174,22 +171,3 @@ def test_spliced_tail_raises_distances():
     pre = rec.distances[starts + cfg.window_len <= 150]
     post = rec.distances[starts >= 150]
     assert np.mean(post) > 5 * np.mean(pre)
-
-
-def test_write_reconstruction_csv(tmp_path):
-    rng = np.random.default_rng(7)
-    a, b = rng.normal(size=10), rng.normal(size=10)
-    rec = assembled(a, b)
-    err = error_series(rec)
-    path = tmp_path / "rec.csv"
-    write_reconstruction_csv(rec, err, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,original_assembled,reconstructed,error"
-    assert len(lines) == 11
-    cells = lines[1].split(",")
-    assert float(cells[1]) == a[0]
-
-
-def test_negative_errors_rejected():
-    with pytest.raises(ReconstructError):
-        ErrorSeries("f", np.array([-1.0]))
