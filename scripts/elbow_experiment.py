@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from theftdetect import cli, cluster, windowing
-from theftdetect.cli import RunConfig
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -23,11 +22,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    cfg = RunConfig(data_dir=args.corpus_dir, seed=args.seed)
-    manifest_trips = cli.load_corpus_trips(cfg, roles={"train"})
-    wcfg = cfg.window_config()
+    manifest, corpus = cli.load_corpus_trips(args.corpus_dir, roles={"train"})
+    # the default 32 s window and 16 s stride, at the corpus's own sample period
+    wcfg = windowing.WindowConfig(sample_period_s=manifest["sample_period_s"])
     windows = np.concatenate(
-        [windowing.slide_highlighted(trip.features[args.feature], wcfg) for _, trip in manifest_trips]
+        [windowing.slide_highlighted(trip.features[args.feature], wcfg) for _, trip in corpus]
     )
     print(f"{len(windows)} training windows for {args.feature}")
 

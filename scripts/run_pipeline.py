@@ -20,7 +20,7 @@ def steps(work: Path, seed: str) -> Iterator[list[str]]:
     """CLI argument lists in run order; each is built once the previous step has run."""
     corpus, models, out = str(work / "corpus"), str(work / "models"), str(work / "out")
     yield ["synth", "--data", corpus, "--seed", seed]
-    yield ["ingest", "--data", corpus, "--out", models, "--seed", seed]
+    yield ["ingest", "--data", corpus, "--out", models]
     yield ["train", "--data", corpus, "--out", models, "--seed", seed]
     yield ["evaluate", "--data", corpus, "--models", models, "--out", out, "--seed", seed]
     splice = next(t for t in synth.load_manifest(corpus)["trips"] if t["role"] == "val-splice")

@@ -1,6 +1,9 @@
 """Command-line pipeline: synth | ingest | train | detect | evaluate | report.
 
-A JSON config file supplies defaults; every flag overrides its config key.
+Each subcommand takes only the flags it reads. A JSON config file supplies
+defaults for the RunConfig keys, and a flag overrides its key. ingest, train
+and evaluate take the owner and the sample period from the corpus manifest;
+detect takes the period of its trip.
 Exit codes: 0 ok, 1 usage/config, 2 data error, 3 infeasible model.
 """
 
@@ -38,32 +41,16 @@ class ConfigError(Exception):
 class RunConfig:
     data_dir: str = "corpus"
     out_dir: str = "out"
-    owner: str = "A"
-    sample_period_s: float = 1.0
+    owner: str = "A"  # synth; later steps read the manifest's owner
+    sample_period_s: float = 1.0  # synth: the corpus period; detect: the trip's period
     window_s: float = 32.0
     stride_s: float = 16.0
-    filter_name: str = "hann"
-    detection_window_s: float = 32.0
-    k: int = 300  # capped at the feasible segment count unless strict_k
-    strict_k: bool = False
+    # an explicit k is strict; None is cluster.DEFAULT_K capped at the distinct segment count
+    k: int | None = None
     seed: int = 7
-    restarts: int = 5
-    max_iter: int = 100
-    tol: float = 1e-6
-    indifference_tolerance: float = 0.05
-    separation_threshold: float = 0.5
-    thresholds: dict[str, float] | str = "optimize"
-    val_ratio: tuple[int, int] = (8, 2)  # owner : thief
+    restarts: int = cluster.DEFAULT_RESTARTS
     trips_per_driver: int = 10
     duration_s: float = 600.0
-
-    def window_config(self) -> WindowConfig:
-        return WindowConfig(
-            sample_period_s=self.sample_period_s,
-            window_s=self.window_s,
-            stride_s=self.stride_s,
-            filter_name=self.filter_name,
-        )
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
@@ -78,62 +65,58 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(doc)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    if "val_ratio" in values and not isinstance(values["val_ratio"], tuple):
-        values["val_ratio"] = tuple(values["val_ratio"])
-    cfg = RunConfig(**values)
-    if cfg.val_ratio[0] <= 0 or cfg.val_ratio[1] <= 0:
-        raise ConfigError("validation ratio components must be positive")
-    return cfg
+    return RunConfig(**values)
 
 
 # --- pipeline helpers --------------------------------------------------------
 
 
-def load_corpus_trips(cfg: RunConfig, roles: set[str] | None = None) -> list[tuple[dict, TripLog]]:
-    """Load (manifest entry, TripLog) pairs, optionally filtered by role."""
-    manifest = synth.load_manifest(cfg.data_dir)
+def load_corpus_trips(
+    data_dir: str | Path, roles: set[str] | None = None
+) -> tuple[dict, list[tuple[dict, TripLog]]]:
+    """The manifest and its (entry, TripLog) pairs, optionally filtered by role.
+
+    Trips are parsed at the manifest's sample period.
+    """
+    manifest = synth.load_manifest(data_dir)
     out = []
     for entry in manifest["trips"]:
         if roles is not None and entry["role"] not in roles:
             continue
         trip = ingest.parse_trip(
-            Path(cfg.data_dir) / entry["file"],
-            manifest.get("sample_period_s", cfg.sample_period_s),
+            Path(data_dir) / entry["file"],
+            manifest["sample_period_s"],
             trip_id=entry["trip_id"],
             driver_id=entry["driver_id"],
         )
         out.append((entry, trip))
-    return out
+    return manifest, out
 
 
-def select_features(trips: list[TripLog], cfg: RunConfig) -> tuple[list[str], list[ingest.SelectionDecision]]:
+def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
+    """The essential features of ``trips``; every decision goes to ``out_dir/features.json``."""
     catalog = ingest.build_catalog(trips)
-    decisions = ingest.apply_selection_rules(catalog, cfg.indifference_tolerance)
-    essential = ingest.select_essential(decisions, catalog, cfg.separation_threshold)
-    essential = essential[:ESSENTIAL_TARGET]
-    return essential, ingest.finalize_decisions(decisions, essential)
-
-
-def essential_features_path(models_dir: str | Path) -> Path:
-    return Path(models_dir) / "features.json"
-
-
-def write_features(
-    path: Path, essential: list[str], decisions: list[ingest.SelectionDecision]
-) -> None:
+    decisions = ingest.apply_selection_rules(catalog)
+    essential = ingest.select_essential(decisions, catalog)[:ESSENTIAL_TARGET]
     doc = {
         "essential": essential,
         "decisions": [
-            {"feature": d.feature, "kept": d.kept, "reason": d.reason} for d in decisions
+            {"feature": d.feature, "kept": d.kept, "reason": d.reason}
+            for d in ingest.finalize_decisions(decisions, essential)
         ],
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "features.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return essential
 
 
 def train_codebooks(
     owner_trips: list[TripLog], essential: list[str], cfg: RunConfig
 ) -> dict[str, Codebook]:
-    wcfg = cfg.window_config()
+    """One codebook per essential feature, windowed at the trips' sample period."""
+    wcfg = WindowConfig(owner_trips[0].sample_period_s, cfg.window_s, cfg.stride_s)
     books: dict[str, Codebook] = {}
     trip_ids = tuple(t.trip_id for t in owner_trips)
     for feature in essential:
@@ -143,32 +126,29 @@ def train_codebooks(
         books[feature] = cluster.kmeans_fit(
             windows,
             feature,
-            cfg.k,
+            cluster.DEFAULT_K if cfg.k is None else cfg.k,
             seed=cfg.seed,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
             restarts=cfg.restarts,
             cfg=wcfg,
             trip_ids=trip_ids,
-            strict_k=cfg.strict_k,
+            strict_k=cfg.k is not None,
         )
     return books
 
 
-def detection_config(books: dict[str, Codebook], cfg: RunConfig) -> DetectionConfig:
+def detection_config(books: dict[str, Codebook]) -> DetectionConfig:
     """Detection windows at the codebooks' sample period (``load_models`` makes it one)."""
-    period = next(iter(books.values())).cfg.sample_period_s
-    return DetectionConfig(sample_period_s=period, detection_window_s=cfg.detection_window_s)
+    return DetectionConfig(sample_period_s=next(iter(books.values())).cfg.sample_period_s)
 
 
-def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook], cfg: RunConfig) -> np.ndarray:
+def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray:
     """Representative error per (model, detection window) of one trip, rows in ``books`` order.
 
     A model's verdict on a window is its error > the model's threshold. Trips
     sampled at another period than the codebooks, or with a missing or
     non-finite sample in a model's feature, are rejected.
     """
-    dcfg = detection_config(books, cfg)
+    dcfg = detection_config(books)
     if trip.sample_period_s != dcfg.sample_period_s:
         raise ingest.IngestError(
             f"trip {trip.trip_id} is sampled every {trip.sample_period_s} s, "
@@ -202,8 +182,6 @@ def cmd_synth(cfg: RunConfig) -> int:
         duration_s=cfg.duration_s,
         sample_period_s=cfg.sample_period_s,
         owner_train_trips=cfg.trips_per_driver,
-        owner_val_trips=cfg.val_ratio[0],
-        thief_val_trips=cfg.val_ratio[1],
     )
     manifest = synth.write_corpus(cfg.data_dir, corpus_cfg)
     print(f"wrote {len(manifest['trips'])} trips to {cfg.data_dir}")
@@ -211,40 +189,32 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    trips = [t for _, t in load_corpus_trips(cfg)]
-    essential, decisions = select_features(trips, cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = essential_features_path(out_dir)
-    write_features(path, essential, decisions)
+    _, corpus = load_corpus_trips(cfg.data_dir)
+    essential = select_features([t for _, t in corpus], Path(cfg.out_dir))
     print(f"essential features: {', '.join(essential)}")
-    print(f"wrote {path}")
+    print(f"wrote {Path(cfg.out_dir) / 'features.json'}")
     return EXIT_OK
 
 
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    features_file = essential_features_path(out_dir)
+    features_file = out_dir / "features.json"
     if features_file.exists():
         essential = json.loads(features_file.read_text(encoding="utf-8"))["essential"]
+        manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
-        trips = [t for _, t in load_corpus_trips(cfg)]
-        essential, decisions = select_features(trips, cfg)
-        write_features(features_file, essential, decisions)
+        manifest, corpus = load_corpus_trips(cfg.data_dir)
+        essential = select_features([t for _, t in corpus], out_dir)
     if len(essential) < ESSENTIAL_TARGET:
         print(
             f"warning: only {len(essential)} essential features survived selection",
             file=sys.stderr,
         )
     # clustering reads owner training trips only
-    owner_trips = [
-        t
-        for entry, t in load_corpus_trips(cfg, roles={"train"})
-        if entry["driver_id"] == cfg.owner
-    ]
+    owner = manifest["owner"]
+    owner_trips = [t for e, t in corpus if e["role"] == "train" and e["driver_id"] == owner]
     if not owner_trips:
-        raise ingest.IngestError(f"no training trips for owner {cfg.owner!r} in {cfg.data_dir}")
+        raise ingest.IngestError(f"no training trips for owner {owner!r} in {cfg.data_dir}")
     books = train_codebooks(owner_trips, essential, cfg)
     for feature, cb in books.items():
         path = out_dir / f"codebook_{feature}.json"
@@ -266,17 +236,13 @@ def load_models(models_dir: str | Path) -> dict[str, Codebook]:
     return books
 
 
-def load_thresholds(cfg: RunConfig, models_dir: str | Path, features: list[str]) -> dict[str, float]:
-    """Per-model thresholds; every model in ``features`` needs a finite, nonnegative one."""
-    if isinstance(cfg.thresholds, dict):
-        thresholds = dict(cfg.thresholds)
-    else:
-        path = Path(models_dir) / "thresholds.json"
-        if not path.exists():
-            raise ConfigError(
-                "no thresholds available: run `evaluate` first or set them in the config"
-            )
-        thresholds = json.loads(path.read_text(encoding="utf-8"))
+def load_thresholds(models_dir: str | Path, features: list[str]) -> dict[str, float]:
+    """Per-model thresholds from ``thresholds.json``; every model in ``features``
+    needs a finite, nonnegative one."""
+    path = Path(models_dir) / "thresholds.json"
+    if not path.exists():
+        raise ConfigError(f"no thresholds in {models_dir}: run `evaluate` first")
+    thresholds = json.loads(path.read_text(encoding="utf-8"))
     for feature in features:
         theta = thresholds.get(feature)
         if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < math.inf:
@@ -286,12 +252,12 @@ def load_thresholds(cfg: RunConfig, models_dir: str | Path, features: list[str])
 
 def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     books = load_models(models_dir)
-    thresholds = load_thresholds(cfg, models_dir, list(books))
+    thresholds = load_thresholds(models_dir, list(books))
     trip = ingest.parse_trip(trip_path, cfg.sample_period_s)
-    errors = trip_model_verdicts(trip, books, cfg)
+    errors = trip_model_verdicts(trip, books)
     theft = errors > np.array([[thresholds[f]] for f in books])
     votes, flagged = detect.ensemble_vote(theft)
-    dlen = detection_config(books, cfg).detection_len
+    dlen = detection_config(books).detection_len
     starts = range(0, errors.shape[1] * dlen, dlen)
     report: dict = {
         "trip_id": trip.trip_id,
@@ -320,20 +286,20 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
 def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.RocCurve]]:
     """Tune per-model thresholds on the validation split and score everything.
 
-    Returns the report and the ROC curve of every model whose threshold was tuned.
+    Returns the report and the ROC curve of every model.
     """
     books = load_models(models_dir)
     # splice trips are a localization demo, not part of the 8:2 validation split
-    val = load_corpus_trips(cfg, roles={"val-owner", "val-thief"})
+    manifest, val = load_corpus_trips(cfg.data_dir, roles={"val-owner", "val-thief"})
     if not val:
         raise ingest.IngestError(f"no validation trips in {cfg.data_dir}")
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
-    dlen = detection_config(books, cfg).detection_len
+    dlen = detection_config(books).detection_len
     trip_errors, trip_labels = [], []
     for entry, trip in val:
-        trip_errors.append(trip_model_verdicts(trip, books, cfg))
+        trip_errors.append(trip_model_verdicts(trip, books))
         sample_labels = synth.load_labels(cfg.data_dir, entry["labels"])
         trip_labels.append(window_labels(sample_labels, trip_errors[-1].shape[1], dlen))
     # one row per model, validation windows in trip order
@@ -341,7 +307,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     labels = np.concatenate(trip_labels)
 
     report: dict = {
-        "owner": cfg.owner,
+        "owner": manifest["owner"],
         "seed": cfg.seed,
         "validation": {"owner_trips": owner_count, "thief_trips": thief_count},
         "models": {},
@@ -350,19 +316,14 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     curves: dict[str, detect.RocCurve] = {}
     theft = []
     for feature, model_errors in zip(books, errors):
-        if isinstance(cfg.thresholds, dict) and feature in cfg.thresholds:
-            theta = cfg.thresholds[feature]
-            curve = None
-        else:
-            grid = detect.threshold_grid(model_errors)
-            curve = detect.roc_sweep(model_errors, labels, grid)
-            theta = detect.optimize_threshold(curve)
-            curves[feature] = curve
+        curve = detect.roc_sweep(model_errors, labels, detect.threshold_grid(model_errors))
+        theta = detect.optimize_threshold(curve)
+        curves[feature] = curve
         thresholds[feature] = theta
         theft.append(model_errors > theta)
         report["models"][feature] = {
             "threshold": theta,
-            "auc": curve.auc if curve else None,
+            "auc": curve.auc,
             "metrics": detect.compute_metrics(theft[-1], labels),
         }
     _, flagged = detect.ensemble_vote(np.array(theft))
@@ -440,6 +401,26 @@ def cmd_report(cfg: RunConfig, report_path: str) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
+# add_argument keywords per flag; a flag whose dest is a RunConfig field
+# overrides that config key
+_FLAGS: dict[str, dict] = {
+    "--data": {"dest": "data_dir"},
+    "--out": {"dest": "out_dir"},
+    "--owner": {},
+    "--seed": {"type": int},
+    "--sample-period": {"dest": "sample_period_s", "type": float},
+    "--window": {"dest": "window_s", "type": float},
+    "--stride": {"dest": "stride_s", "type": float},
+    "--k": {"type": int},
+    "--restarts": {"type": int},
+    "--trips": {"dest": "trips_per_driver", "type": int},
+    "--duration": {"dest": "duration_s", "type": float},
+    "--models": {"required": True},
+    "--trip": {"required": True},
+    "--report": {"dest": "report_path", "required": True},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="theftdetect",
@@ -448,41 +429,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--data", dest="data_dir")
-        p.add_argument("--out", dest="out_dir")
-        p.add_argument("--owner")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--sample-period", dest="sample_period_s", type=float)
-        p.add_argument("--window", dest="window_s", type=float)
-        p.add_argument("--stride", dest="stride_s", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--restarts", type=int)
+    def add(command: str, help_text: str, *flags: str) -> None:
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
-    p_synth = sub.add_parser("synth", help="generate the synthetic corpus")
-    common(p_synth)
-    p_synth.add_argument("--trips", dest="trips_per_driver", type=int)
-    p_synth.add_argument("--duration", dest="duration_s", type=float)
-
-    p_ingest = sub.add_parser("ingest", help="build catalog and pick essential features")
-    common(p_ingest)
-
-    p_train = sub.add_parser("train", help="train per-feature codebooks on owner trips")
-    common(p_train)
-
-    p_detect = sub.add_parser("detect", help="score one trip against trained models")
-    common(p_detect)
-    p_detect.add_argument("--models", required=True)
-    p_detect.add_argument("--trip", required=True)
-
-    p_eval = sub.add_parser("evaluate", help="tune thresholds and compute metrics")
-    common(p_eval)
-    p_eval.add_argument("--models", required=True)
-
-    p_report = sub.add_parser("report", help="render the markdown and CSV tables of a report")
-    common(p_report)
-    p_report.add_argument("--report", required=True, dest="report_path")
-
+    # each subcommand takes only the flags it reads, except `ingest --seed` and
+    # `detect --data`: nothing reads them, but benchmark/workloads.py passes both
+    add("synth", "generate the synthetic corpus",
+        "--data", "--seed", "--owner", "--sample-period", "--trips", "--duration")
+    add("ingest", "build catalog and pick essential features", "--data", "--out", "--seed")
+    add("train", "train per-feature codebooks on owner trips",
+        "--data", "--out", "--seed", "--window", "--stride", "--k", "--restarts")
+    add("evaluate", "tune thresholds and compute metrics", "--data", "--out", "--models", "--seed")
+    add("detect", "score one trip against trained models",
+        "--data", "--out", "--models", "--trip", "--sample-period")
+    add("report", "render the markdown and CSV tables of a report", "--out", "--report")
     return parser
 
 
@@ -492,13 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k in _CONFIG_FIELDS and v is not None
-    }
-    if overrides.get("k") is not None:
-        overrides["strict_k"] = True
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "synth":

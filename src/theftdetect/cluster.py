@@ -244,8 +244,11 @@ def assign(windows: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.sqrt(d2)
 
 
-def save_codebook(cb: Codebook, path: str | Path, trained_at: str | None = None) -> None:
-    """Persist as versioned JSON; float serialization round-trips exactly."""
+def save_codebook(cb: Codebook, path: str | Path) -> None:
+    """Persist as versioned JSON; float serialization round-trips exactly.
+
+    ``trained_at`` is always null: runs are deterministic, so none is recorded.
+    """
     doc = {
         "format_version": CODEBOOK_FORMAT_VERSION,
         "feature": cb.feature,
@@ -259,7 +262,7 @@ def save_codebook(cb: Codebook, path: str | Path, trained_at: str | None = None)
         "centroids": [list(row) for row in cb.centroids.tolist()],
         "sse": cb.sse,
         "seed": cb.meta.seed,
-        "trained_at": trained_at,
+        "trained_at": None,
         "training_meta": {
             "trip_ids": list(cb.meta.trip_ids),
             "segment_count": cb.meta.segment_count,

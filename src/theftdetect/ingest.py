@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +36,7 @@ class EmptyTripError(IngestError):
 
 
 class NoEssentialFeaturesError(IngestError):
-    """No feature survived selection; relax the separation threshold."""
+    """No rule survivor scored above the separation threshold."""
 
 
 @dataclass
@@ -80,7 +79,6 @@ class DriverStats:
     q1: float
     median: float
     q3: float
-    count: int
 
     def five_number(self) -> np.ndarray:
         return np.array([self.min, self.q1, self.median, self.q3, self.max])
@@ -89,7 +87,6 @@ class DriverStats:
 @dataclass(frozen=True)
 class FeatureStats:
     name: str
-    category: str
     has_missing: bool
     per_driver: dict[str, DriverStats]
     pooled_std: float
@@ -103,10 +100,6 @@ class FeatureCatalog:
     features: dict[str, FeatureStats]
     drivers: tuple[str, ...]
 
-    @property
-    def feature_names(self) -> list[str]:
-        return list(self.features)
-
 
 @dataclass(frozen=True)
 class SelectionDecision:
@@ -117,21 +110,6 @@ class SelectionDecision:
     def __post_init__(self) -> None:
         if self.reason not in SELECTION_REASONS:
             raise ValueError(f"unknown reason {self.reason!r}")
-
-
-_CATEGORY_PATTERNS = (
-    ("Fuel", re.compile(r"fuel|air|intake|manifold|injection", re.I)),
-    ("Transmission", re.compile(r"transmission|wheel|torque|gear|shift", re.I)),
-    ("Engine", re.compile(r"engine|coolant|rpm|throttle|ignition", re.I)),
-)
-
-
-def categorize_feature(name: str) -> str:
-    """Bucket a feature by its data source, defaulting to Engine."""
-    for category, pattern in _CATEGORY_PATTERNS:
-        if pattern.search(name):
-            return category
-    return "Engine"
 
 
 def _infer_ids(path: Path) -> tuple[str, str]:
@@ -212,7 +190,6 @@ def _driver_stats(values: np.ndarray) -> DriverStats:
         q1=float(q1),
         median=float(median),
         q3=float(q3),
-        count=int(values.size),
     )
 
 
@@ -248,7 +225,6 @@ def build_catalog(trips: list[TripLog]) -> FeatureCatalog:
         q1, q3 = np.percentile(pooled_clean, [25, 75])
         features[name] = FeatureStats(
             name=name,
-            category=categorize_feature(name),
             has_missing=has_missing,
             per_driver=per_driver,
             pooled_std=float(pooled_clean.std()),
@@ -331,8 +307,7 @@ def select_essential(
     kept = [(s, n) for s, n in scored if s > separation_score_threshold]
     if not kept:
         raise NoEssentialFeaturesError(
-            "no feature scored above the separation threshold "
-            f"{separation_score_threshold}; relax it and retry"
+            f"no feature scored above the separation threshold {separation_score_threshold}"
         )
     kept.sort(key=lambda item: (-item[0], item[1]))
     return [name for _, name in kept]

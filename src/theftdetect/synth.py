@@ -303,10 +303,19 @@ def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict
 
 
 def load_manifest(corpus_dir: str | Path) -> dict:
+    """The corpus manifest; it must name the owner, the trips and the sample period."""
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
         raise SynthError(f"no manifest.json in {corpus_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("owner"), str):
+        raise SynthError(f"{path} names no owner")
+    if not isinstance(manifest.get("trips"), list):
+        raise SynthError(f"{path} has no trips list")
+    period = manifest.get("sample_period_s")
+    if isinstance(period, bool) or not isinstance(period, (int, float)) or not 0 < period < math.inf:
+        raise SynthError(f"{path} needs a finite, positive sample_period_s, got {period!r}")
+    return manifest
 
 
 def load_labels(corpus_dir: str | Path, label_file: str) -> np.ndarray:

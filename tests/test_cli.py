@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -15,6 +16,7 @@ from theftdetect.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     window_labels,
 )
@@ -286,6 +288,121 @@ def test_removed_elbow_k_values_key_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"elbow_k_values": [10, 20]}))
     assert run("--config", str(cfg_file), "ingest") == EXIT_USAGE
+
+
+# keys no caller set; each value was valid when the key existed
+REMOVED_CONFIG_KEYS = {
+    "max_iter": 100,
+    "tol": 1e-6,
+    "indifference_tolerance": 0.05,
+    "separation_threshold": 0.5,
+    "filter_name": "hann",
+    "detection_window_s": 32.0,
+    "val_ratio": [8, 2],
+    "thresholds": {"transmission_oil_temperature": math.nan},
+    "strict_k": True,
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_CONFIG_KEYS))
+def test_removed_config_keys_rejected(pipeline, tmp_path, key):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: REMOVED_CONFIG_KEYS[key]}))
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    (models / "thresholds.json").unlink()
+    assert run("--config", str(cfg_file), "evaluate", "--data", str(pipeline / "corpus"),
+               "--models", str(models), "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert not (models / "thresholds.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_subcommand_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        command: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert flags == {
+        "synth": {"--data", "--seed", "--owner", "--sample-period", "--trips", "--duration"},
+        "ingest": {"--data", "--out", "--seed"},
+        "train": {"--data", "--out", "--seed", "--window", "--stride", "--k", "--restarts"},
+        "evaluate": {"--data", "--out", "--models", "--seed"},
+        "detect": {"--data", "--out", "--models", "--trip", "--sample-period"},
+        "report": {"--out", "--report"},
+    }
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", ["--sample-period", "2"]),
+    ("train", ["--owner", "B"]),
+    ("report", ["--k", "5"]),
+    ("evaluate", ["--window", "64"]),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_flag_the_subcommand_does_not_read_is_usage_error(pipeline, tmp_path, command, flag):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    (models / "thresholds.json").unlink()
+    before = sorted(p.name for p in models.iterdir())
+    out = str(tmp_path / "out")
+    args = {
+        "train": ["--data", str(pipeline / "corpus"), "--out", out, "--k", "40", "--restarts", "2"],
+        "evaluate": ["--data", str(pipeline / "corpus"), "--models", str(models), "--out", out],
+        "report": ["--out", out, "--report", str(pipeline / "out" / "report.json")],
+    }[command]
+    assert run(command, *args, *flag) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in models.iterdir()) == before
+
+
+def test_two_second_corpus_end_to_end(tmp_path):
+    corpus, models, out = (str(tmp_path / d) for d in ("corpus", "models", "out"))
+    assert run("synth", "--data", corpus, "--seed", "5", "--sample-period", "2",
+               "--trips", "3", "--duration", "240") == EXIT_OK
+    assert run("ingest", "--data", corpus, "--out", models) == EXIT_OK
+    assert run("train", "--data", corpus, "--out", models, "--k", "10") == EXIT_OK
+    books = sorted(Path(models).glob("codebook_*.json"))
+    assert books
+    for path in books:
+        doc = json.loads(path.read_text())
+        assert (doc["sample_period_s"], doc["window_len"], doc["stride_len"]) == (2.0, 16, 8)
+    assert run("evaluate", "--data", corpus, "--models", models, "--out", out) == EXIT_OK
+    splice = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-splice")
+    assert run("detect", "--models", models, "--out", out, "--sample-period", "2",
+               "--trip", str(Path(corpus) / splice["file"])) == EXIT_OK
+    doc = json.loads((Path(out) / f"detection_{splice['trip_id']}.json").read_text())
+    # 120 samples make 7 detection windows of 32 s = 16 samples
+    assert [w["window_start"] for w in doc["ensemble"]] == list(range(0, 7 * 16, 16))
+
+
+@pytest.mark.parametrize("key", ["sample_period_s", "owner"])
+@pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+def test_manifest_without_corpus_fact_is_data_error(pipeline, tmp_path, capsys, command, key):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    del manifest[key]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    args = {
+        "ingest": ["--out", str(tmp_path / "models")],
+        "train": ["--out", str(tmp_path / "models"), "--k", "40", "--restarts", "2"],
+        "evaluate": ["--models", str(pipeline / "models"), "--out", str(tmp_path / "out")],
+    }[command]
+    assert run(command, "--data", str(corpus), *args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and key in err
+    assert not (tmp_path / "models").exists() and not (tmp_path / "out").exists()
+
+
+def test_config_k_is_strict(pipeline, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"k": 1000000}))
+    corpus = str(pipeline / "corpus")
+    assert run("--config", str(cfg_file), "train", "--data", corpus,
+               "--out", str(tmp_path / "a")) == EXIT_INFEASIBLE
+    assert run("train", "--data", corpus, "--out", str(tmp_path / "b"),
+               "--k", "1000000") == EXIT_INFEASIBLE
+    assert not list(tmp_path.glob("*/codebook_*.json"))
 
 
 def test_report_command(pipeline, tmp_path):

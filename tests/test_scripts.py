@@ -14,13 +14,15 @@ def load_script(name):
 
 
 def test_elbow_experiment_smoke(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    assert main(["synth", "--data", str(corpus), "--seed", "3",
-                 "--trips", "2", "--duration", "120"]) == EXIT_OK
-    capsys.readouterr()
     elbow = load_script("elbow_experiment")
-    assert elbow.main([str(corpus), "--k-max", "6", "--step", "2", "--seed", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "12 training windows for transmission_oil_temperature"
-    assert [int(line[2:6]) for line in lines[1:]] == [1, 3, 5]
-    assert sum("<- recommended" in line for line in lines) == 1
+    # 32 s windows at a 16 s stride: 6 per 120 s trip at either sample period
+    for period in ("1", "2"):
+        corpus = tmp_path / f"corpus{period}"
+        assert main(["synth", "--data", str(corpus), "--seed", "3", "--sample-period", period,
+                     "--trips", "2", "--duration", "120"]) == EXIT_OK
+        capsys.readouterr()
+        assert elbow.main([str(corpus), "--k-max", "6", "--step", "2", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "12 training windows for transmission_oil_temperature"
+        assert [int(line[2:6]) for line in lines[1:]] == [1, 3, 5]
+        assert sum("<- recommended" in line for line in lines) == 1
