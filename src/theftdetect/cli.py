@@ -30,8 +30,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
-ESSENTIAL_TARGET = 5
-
 
 class ConfigError(Exception):
     pass
@@ -54,15 +52,23 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+# the JSON values a config key takes, by its RunConfig annotation; a bool is never a number
+_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "int | None": (int, type(None))}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            kind = RunConfig.__dataclass_fields__[key].type
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
         values.update(doc)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
@@ -95,14 +101,12 @@ def load_corpus_trips(
 
 def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
     """The essential features of ``trips``; every decision goes to ``out_dir/features.json``."""
-    catalog = ingest.build_catalog(trips)
-    decisions = ingest.apply_selection_rules(catalog)
-    essential = ingest.select_essential(decisions, catalog)[:ESSENTIAL_TARGET]
+    essential, reasons = ingest.select_essential(trips)
     doc = {
         "essential": essential,
         "decisions": [
-            {"feature": d.feature, "kept": d.kept, "reason": d.reason}
-            for d in ingest.finalize_decisions(decisions, essential)
+            {"feature": feature, "kept": reason == "kept", "reason": reason}
+            for feature, reason in reasons.items()
         ],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,21 +204,27 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        essential = json.loads(features_file.read_text(encoding="utf-8"))["essential"]
+        doc = json.loads(features_file.read_text(encoding="utf-8"))
+        essential = doc.get("essential") if isinstance(doc, dict) else None
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
         manifest, corpus = load_corpus_trips(cfg.data_dir)
         essential = select_features([t for _, t in corpus], out_dir)
-    if len(essential) < ESSENTIAL_TARGET:
-        print(
-            f"warning: only {len(essential)} essential features survived selection",
-            file=sys.stderr,
-        )
     # clustering reads owner training trips only
     owner = manifest["owner"]
     owner_trips = [t for e, t in corpus if e["role"] == "train" and e["driver_id"] == owner]
     if not owner_trips:
         raise ingest.IngestError(f"no training trips for owner {owner!r} in {cfg.data_dir}")
+    if not (isinstance(essential, list) and essential and all(isinstance(f, str) for f in essential)):
+        raise ingest.IngestError(f"{features_file}: 'essential' must be a non-empty list of feature names")
+    absent = [f for f in essential if any(f not in t.features for t in owner_trips)]
+    if absent:
+        raise ingest.IngestError(f"{features_file}: owner training trips lack essential features {absent}")
+    if len(essential) < ingest.ESSENTIAL_TARGET:
+        print(
+            f"warning: only {len(essential)} essential features survived selection",
+            file=sys.stderr,
+        )
     books = train_codebooks(owner_trips, essential, cfg)
     for feature, cb in books.items():
         path = out_dir / f"codebook_{feature}.json"
@@ -438,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     # `detect --data`: nothing reads them, but benchmark/workloads.py passes both
     add("synth", "generate the synthetic corpus",
         "--data", "--seed", "--owner", "--sample-period", "--trips", "--duration")
-    add("ingest", "build catalog and pick essential features", "--data", "--out", "--seed")
+    add("ingest", "pick the essential features", "--data", "--out", "--seed")
     add("train", "train per-feature codebooks on owner trips",
         "--data", "--out", "--seed", "--window", "--stride", "--k", "--restarts")
     add("evaluate", "tune thresholds and compute metrics", "--data", "--out", "--models", "--seed")

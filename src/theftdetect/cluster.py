@@ -142,8 +142,6 @@ def kmeans_fit(
     feature: str,
     k: int,
     seed: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     restarts: int = DEFAULT_RESTARTS,
     cfg: WindowConfig | None = None,
     trip_ids: tuple[str, ...] = (),
@@ -171,7 +169,7 @@ def kmeans_fit(
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         init = _plusplus_init(x, k, rng)
-        centroids, _, sse, iterations, _ = lloyd(x, init, max_iter, tol)
+        centroids, _, sse, iterations, _ = lloyd(x, init, DEFAULT_MAX_ITER, DEFAULT_TOL)
         if best is None or sse < best[1]:
             best = (centroids, sse, iterations)
     centroids, sse, iterations = best
@@ -219,8 +217,6 @@ def elbow_sweep(
     k_values: list[int],
     seed: int,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     cfg: WindowConfig | None = None,
 ) -> ElbowCurve:
     """SSE per k with knee-point recommendation."""
@@ -228,7 +224,7 @@ def elbow_sweep(
         raise ClusterError("k_values must be strictly increasing")
     points = []
     for k in k_values:
-        cb = kmeans_fit(x, feature, k, seed, max_iter=max_iter, tol=tol, restarts=restarts, cfg=cfg)
+        cb = kmeans_fit(x, feature, k, seed, restarts=restarts, cfg=cfg)
         points.append((k, cb.sse))
     return ElbowCurve(points=tuple(points), recommended_k=points[knee_index(points)][0])
 

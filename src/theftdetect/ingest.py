@@ -1,9 +1,9 @@
-"""Trip CSV ingestion, per-driver feature statistics, and feature selection.
+"""Trip CSV ingestion and feature selection.
 
 Trips arrive as CSV files (header row of feature names, one numeric row per
-sample). A catalog of per-driver summary statistics drives three rejection
-rules (missing values, cross-driver indifference, invariance at zero) followed
-by a cross-driver separation score that picks the essential features.
+sample). Per-driver summary statistics drive three rejection rules (missing
+values, invariance at zero, cross-driver indifference) followed by a
+cross-driver separation score that picks the essential features.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ MISSING = math.nan
 #: Reserved CSV column, ignored for math, checked for uniform sampling.
 TIMESTAMP_COLUMN = "timestamp"
 
-SELECTION_REASONS = ("missing-value", "indifference", "invariance", "statistical-reject", "kept")
+#: Per-driver mean, std, min and max all within this fraction of the pooled
+#: std of each other make a feature indifferent.
+INDIFFERENCE_TOLERANCE = 0.05
+#: A rule survivor must score above this to be kept.
+SEPARATION_THRESHOLD = 0.5
+#: At most this many features are kept.
+ESSENTIAL_TARGET = 5
 
 
 class IngestError(Exception):
@@ -66,50 +72,6 @@ class TripLog:
     @property
     def feature_names(self) -> list[str]:
         return list(self.features)
-
-
-@dataclass(frozen=True)
-class DriverStats:
-    """Summary statistics of one feature over all trips of one driver."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    q1: float
-    median: float
-    q3: float
-
-    def five_number(self) -> np.ndarray:
-        return np.array([self.min, self.q1, self.median, self.q3, self.max])
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    name: str
-    has_missing: bool
-    per_driver: dict[str, DriverStats]
-    pooled_std: float
-    pooled_iqr: float
-
-
-@dataclass(frozen=True)
-class FeatureCatalog:
-    """Per-feature, per-driver statistics over an ingested trip collection."""
-
-    features: dict[str, FeatureStats]
-    drivers: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SelectionDecision:
-    feature: str
-    kept: bool
-    reason: str
-
-    def __post_init__(self) -> None:
-        if self.reason not in SELECTION_REASONS:
-            raise ValueError(f"unknown reason {self.reason!r}")
 
 
 def _infer_ids(path: Path) -> tuple[str, str]:
@@ -177,150 +139,70 @@ def parse_trip(
     )
 
 
-def _driver_stats(values: np.ndarray) -> DriverStats:
+
+
+def driver_stats(values: np.ndarray) -> np.ndarray:
+    """``[mean, std, min, q1, median, q3, max]`` of the non-missing values."""
     clean = values[~np.isnan(values)]
-    if clean.size == 0:
-        clean = np.array([0.0])
     q1, median, q3 = np.percentile(clean, [25, 50, 75])
-    return DriverStats(
-        mean=float(clean.mean()),
-        std=float(clean.std()),
-        min=float(clean.min()),
-        max=float(clean.max()),
-        q1=float(q1),
-        median=float(median),
-        q3=float(q3),
-    )
+    return np.array([clean.mean(), clean.std(), clean.min(), q1, median, q3, clean.max()])
 
 
-def build_catalog(trips: list[TripLog]) -> FeatureCatalog:
-    """Aggregate per-feature statistics for each driver across its trips."""
+def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
+    """The essential features of ``trips`` and the selection reason of every feature.
+
+    Rules, in order: a missing value in any trip ("missing-value"); mean and
+    std zero for every driver ("invariance"); with two or more drivers,
+    per-driver mean, std, min and max within ``INDIFFERENCE_TOLERANCE`` pooled
+    stds of each other ("indifference"). A survivor's separation score is the
+    mean pairwise distance between per-driver five-number summaries (mean
+    componentwise absolute difference, so one noisy min or max cannot
+    dominate) over the pooled IQR, or the pooled std when the IQR is 0. The
+    best ``ESSENTIAL_TARGET`` survivors above ``SEPARATION_THRESHOLD``, ranked
+    by (-score, name), are "kept"; every other survivor is a
+    "statistical-reject". ``reasons`` lists features in first-seen order.
+    """
     if not trips:
-        raise IngestError("cannot build a catalog from zero trips")
-    drivers = tuple(sorted({t.driver_id for t in trips}))
-    names: list[str] = []
-    for trip in trips:
-        for name in trip.feature_names:
-            if name not in names:
-                names.append(name)
-
-    features: dict[str, FeatureStats] = {}
-    for name in names:
-        per_driver: dict[str, DriverStats] = {}
-        pooled_parts: list[np.ndarray] = []
-        has_missing = False
-        for driver in drivers:
-            parts = [t.features[name] for t in trips if t.driver_id == driver and name in t.features]
-            if not parts:
-                continue
-            values = np.concatenate(parts)
-            if np.isnan(values).any():
-                has_missing = True
-            per_driver[driver] = _driver_stats(values)
-            pooled_parts.append(values)
-        pooled = np.concatenate(pooled_parts)
-        pooled_clean = pooled[~np.isnan(pooled)]
-        if pooled_clean.size == 0:
-            pooled_clean = np.array([0.0])
-        q1, q3 = np.percentile(pooled_clean, [25, 75])
-        features[name] = FeatureStats(
-            name=name,
-            has_missing=has_missing,
-            per_driver=per_driver,
-            pooled_std=float(pooled_clean.std()),
-            pooled_iqr=float(q3 - q1),
-        )
-    return FeatureCatalog(features=features, drivers=drivers)
-
-
-def apply_selection_rules(
-    catalog: FeatureCatalog, indifference_tolerance: float = 0.05
-) -> list[SelectionDecision]:
-    """Reject non-influential features.
-
-    Order: missing values first, then invariance at zero, then cross-driver
-    indifference (skipped with fewer than two drivers). Survivors are marked
-    kept; the statistical refinement happens in select_essential.
-    """
-    if indifference_tolerance < 0:
-        raise ValueError("indifference_tolerance must be nonnegative")
-    decisions = []
-    multi_driver = len(catalog.drivers) >= 2
-    for name, stats in catalog.features.items():
-        reason = _reject_reason(stats, indifference_tolerance, multi_driver)
-        if reason is None:
-            decisions.append(SelectionDecision(feature=name, kept=True, reason="kept"))
+        raise IngestError("cannot select features from zero trips")
+    by_driver = [[t for t in trips if t.driver_id == d] for d in sorted({t.driver_id for t in trips})]
+    reasons: dict[str, str] = {}
+    scores: dict[str, float] = {}
+    for name in dict.fromkeys(name for t in trips for name in t.features):
+        per_driver = [
+            np.concatenate(parts)
+            for group in by_driver
+            if (parts := [t.features[name] for t in group if name in t.features])
+        ]
+        pooled = np.concatenate(per_driver)
+        if np.isnan(pooled).any():
+            reasons[name] = "missing-value"
+            continue
+        stats = np.array([driver_stats(v) for v in per_driver])
+        # spread across drivers of mean, std, min and max
+        spread = np.ptp(stats[:, [0, 1, 2, 6]], axis=0)
+        if not stats[:, :2].any():
+            reasons[name] = "invariance"
+        elif len(stats) >= 2 and (spread <= INDIFFERENCE_TOLERANCE * pooled.std()).all():
+            reasons[name] = "indifference"
         else:
-            decisions.append(SelectionDecision(feature=name, kept=False, reason=reason))
-    return decisions
-
-
-def _reject_reason(stats: FeatureStats, tolerance: float, multi_driver: bool) -> str | None:
-    if stats.has_missing:
-        return "missing-value"
-    per = stats.per_driver.values()
-    if all(d.mean == 0.0 and d.std == 0.0 for d in per):
-        return "invariance"
-    if multi_driver and len(stats.per_driver) >= 2:
-        bound = tolerance * stats.pooled_std
-        indifferent = True
-        for attr in ("mean", "std", "min", "max"):
-            values = [getattr(d, attr) for d in per]
-            if max(values) - min(values) > bound:
-                indifferent = False
-                break
-        if indifferent:
-            return "indifference"
-    return None
-
-
-def separation_score(stats: FeatureStats) -> float:
-    """Mean pairwise distance between per-driver five-number summaries,
-    normalized by the pooled interquartile range.
-
-    Distance is the mean componentwise absolute difference, so a single noisy
-    order statistic (min/max of a long series) cannot dominate the score.
-    """
-    summaries = [d.five_number() for d in stats.per_driver.values()]
-    if len(summaries) < 2:
-        return math.inf if stats.pooled_std > 0 else 0.0
-    dists = [
-        float(np.mean(np.abs(a - b)))
-        for i, a in enumerate(summaries)
-        for b in summaries[i + 1 :]
-    ]
-    mean_dist = float(np.mean(dists))
-    denom = stats.pooled_iqr or stats.pooled_std
-    if denom == 0:
-        return 0.0
-    return mean_dist / denom
-
-
-def select_essential(
-    decisions: list[SelectionDecision],
-    catalog: FeatureCatalog,
-    separation_score_threshold: float = 0.5,
-) -> list[str]:
-    """Rank rule survivors by separation score, keep those above threshold."""
-    survivors = [d.feature for d in decisions if d.kept]
-    scored = [(separation_score(catalog.features[name]), name) for name in survivors]
-    kept = [(s, n) for s, n in scored if s > separation_score_threshold]
-    if not kept:
+            reasons[name] = "statistical-reject"
+            scores[name] = _separation_score(stats, pooled)
+    above = [name for name, score in scores.items() if score > SEPARATION_THRESHOLD]
+    essential = sorted(above, key=lambda name: (-scores[name], name))[:ESSENTIAL_TARGET]
+    if not essential:
         raise NoEssentialFeaturesError(
-            f"no feature scored above the separation threshold {separation_score_threshold}"
+            f"no feature scored above the separation threshold {SEPARATION_THRESHOLD}"
         )
-    kept.sort(key=lambda item: (-item[0], item[1]))
-    return [name for _, name in kept]
+    reasons.update(dict.fromkeys(essential, "kept"))
+    return essential, reasons
 
 
-def finalize_decisions(
-    decisions: list[SelectionDecision], essential: list[str]
-) -> list[SelectionDecision]:
-    """Demote rule survivors that failed the separation filter."""
-    final = []
-    for d in decisions:
-        if d.kept and d.feature not in essential:
-            final.append(SelectionDecision(feature=d.feature, kept=False, reason="statistical-reject"))
-        else:
-            final.append(d)
-    return final
+def _separation_score(stats: np.ndarray, pooled: np.ndarray) -> float:
+    if len(stats) < 2:
+        return math.inf if pooled.std() > 0 else 0.0
+    five = stats[:, 2:]
+    i, j = np.triu_indices(len(five), 1)
+    mean_dist = np.abs(five[i] - five[j]).mean(axis=1).mean()
+    q1, q3 = np.percentile(pooled, [25, 75])
+    denom = (q3 - q1) or pooled.std()
+    return float(mean_dist / denom) if denom else 0.0

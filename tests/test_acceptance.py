@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_end_to_end_synthetic_run(run):
             precisions.append(block["metrics"]["precision"])
         assert report["ensemble"]["metrics"]["precision"] >= max(precisions)
         assert run["elapsed"] <= 60.0
+
+
+def test_default_corpus_feature_reasons(run):
+    with criterion("default corpus feature selection"):
+        doc = json.loads((run["models"] / "features.json").read_text())
+        reasons = Counter(d["reason"] for d in doc["decisions"])
+        assert reasons == {"kept": 5, "statistical-reject": 2, "missing-value": 1, "invariance": 1}
+        assert all(d["kept"] == (d["reason"] == "kept") for d in doc["decisions"])
+        assert sorted(doc["essential"]) == sorted(d["feature"] for d in doc["decisions"] if d["kept"])
 
 
 def test_splice_localization(run):

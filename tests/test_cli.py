@@ -317,6 +317,50 @@ def test_removed_config_keys_rejected(pipeline, tmp_path, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"k": "5"},
+    ["k"],
+    {"seed": 1.5},
+    {"window_s": True},
+    {"owner": 3},
+], ids=["k-string", "list", "seed-float", "window-bool", "owner-int"])
+def test_config_value_of_wrong_type_is_config_error(pipeline, tmp_path, capsys, doc):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("--config", str(cfg_file), "train", "--data", str(pipeline / "corpus"),
+               "--out", str(out), "--k", "10", "--restarts", "1") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_config_value_types_accepted(pipeline, tmp_path):
+    # an int is fine for a float key, and k may be null
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"window_s": 32, "k": None, "restarts": 1}))
+    assert run("--config", str(cfg_file), "train", "--data", str(pipeline / "corpus"),
+               "--out", str(tmp_path / "out")) == EXIT_OK
+
+
+@pytest.mark.parametrize("essential", [
+    ["no_such_feature"],
+    ["transmission_oil_temperature", "no_such_feature"],
+    [],
+    "transmission_oil_temperature",
+    [3],
+    None,
+], ids=["unknown", "one-unknown", "empty", "string", "number", "absent"])
+def test_stale_features_file_is_data_error(pipeline, tmp_path, capsys, essential):
+    models = tmp_path / "models"
+    models.mkdir()
+    doc = {"decisions": []} if essential is None else {"essential": essential, "decisions": []}
+    (models / "features.json").write_text(json.dumps(doc))
+    assert run("train", "--data", str(pipeline / "corpus"), "--out", str(models),
+               "--k", "10", "--restarts", "1") == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not list(models.glob("codebook_*.json"))
+
+
 def test_subcommand_flags():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {

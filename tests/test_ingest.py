@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from theftdetect.ingest import (
+    ESSENTIAL_TARGET,
+    SEPARATION_THRESHOLD,
     EmptyTripError,
+    IngestError,
     NoEssentialFeaturesError,
     ParseError,
     TripLog,
-    apply_selection_rules,
-    build_catalog,
-    finalize_decisions,
+    driver_stats,
     parse_trip,
     select_essential,
-    separation_score,
 )
 
 
@@ -75,65 +75,78 @@ def trip(driver, trip_id, **features):
     )
 
 
+def reasons_of(*trips):
+    """Selection reasons of ``trips`` plus an ``anchor`` feature that is always kept,
+    so selection succeeds whatever the rules do to the other features."""
+    for t in trips:
+        t.features["anchor"] = np.arange(t.length) + 100.0 * ord(t.driver_id)
+    essential, reasons = select_essential(list(trips))
+    assert "anchor" in essential
+    return reasons
+
+
+def reference_score(trips, name):
+    """Separation score by the definition: mean over driver pairs of the mean
+    absolute difference of their five-number summaries, over the pooled IQR."""
+    drivers = sorted({t.driver_id for t in trips})
+    values = [np.concatenate([t.features[name] for t in trips if t.driver_id == d]) for d in drivers]
+    five = [np.percentile(v, [0, 25, 50, 75, 100]) for v in values]
+    dists = [np.mean(np.abs(a - b)) for i, a in enumerate(five) for b in five[i + 1 :]]
+    q1, q3 = np.percentile(np.concatenate(values), [25, 75])
+    return np.mean(dists) / (q3 - q1)
+
+
 def test_catalog_constant_feature():
-    cat = build_catalog([trip("A", "t1", f=[5.0, 5.0, 5.0])])
-    stats = cat.features["f"].per_driver["A"]
-    assert stats.mean == 5.0
-    assert stats.std == 0.0
-    assert stats.min == stats.max == 5.0
+    np.testing.assert_array_equal(driver_stats(np.array([5.0, 5.0, 5.0])), [5, 0, 5, 5, 5, 5, 5])
 
 
 def test_catalog_missing_flag():
-    cat = build_catalog(
-        [trip("A", "t1", f=[1.0, math.nan]), trip("A", "t2", f=[2.0, 3.0])]
+    # missing samples are ignored by the statistics but reject the feature
+    np.testing.assert_array_equal(
+        driver_stats(np.array([1.0, math.nan, 2.0, 3.0])),
+        [2.0, np.std([1.0, 2.0, 3.0]), 1.0, 1.5, 2.0, 2.5, 3.0],
     )
-    assert cat.features["f"].has_missing
+    reasons = reasons_of(trip("A", "t1", f=[1.0, math.nan]), trip("A", "t2", f=[2.0, 3.0]))
+    assert reasons["f"] == "missing-value"
 
 
 def test_catalog_two_drivers():
-    cat = build_catalog([trip("A", "t1", f=[1.0, 3.0]), trip("B", "t2", f=[2.0, 2.0])])
-    assert cat.features["f"].per_driver["A"].mean == 2.0
-    assert cat.features["f"].per_driver["B"].mean == 2.0
-    assert cat.features["f"].per_driver["A"].std > 0
-    assert cat.features["f"].per_driver["B"].std == 0
+    a, b = driver_stats(np.array([1.0, 3.0])), driver_stats(np.array([2.0, 2.0]))
+    assert a[0] == b[0] == 2.0
+    assert a[1] > 0
+    assert b[1] == 0
 
 
 def test_catalog_requires_trips():
-    with pytest.raises(Exception):
-        build_catalog([])
+    with pytest.raises(IngestError, match="zero trips"):
+        select_essential([])
 
 
 def test_rule_missing_value():
-    cat = build_catalog([trip("A", "t1", f=[1.0, math.nan]), trip("B", "t2", f=[1.0, 2.0])])
-    (decision,) = apply_selection_rules(cat)
-    assert not decision.kept
-    assert decision.reason == "missing-value"
+    reasons = reasons_of(trip("A", "t1", f=[1.0, math.nan]), trip("B", "t2", f=[1.0, 2.0]))
+    assert reasons["f"] == "missing-value"
 
 
 def test_rule_invariance_all_zero():
-    cat = build_catalog([trip("A", "t1", f=[0.0, 0.0]), trip("B", "t2", f=[0.0, 0.0])])
-    (decision,) = apply_selection_rules(cat)
-    assert decision.reason == "invariance"
+    reasons = reasons_of(trip("A", "t1", f=[0.0, 0.0]), trip("B", "t2", f=[0.0, 0.0]))
+    assert reasons["f"] == "invariance"
 
 
 def test_rule_distinct_max_kept():
-    cat = build_catalog(
-        [trip("A", "t1", f=[50.0, 120.0, 80.0]), trip("B", "t2", f=[50.0, 95.0, 80.0])]
-    )
-    (decision,) = apply_selection_rules(cat)
-    assert decision.kept
+    # a distinct max survives the indifference rule; the score (about 0.22) then rejects it
+    reasons = reasons_of(trip("A", "t1", f=[50.0, 120.0, 80.0]), trip("B", "t2", f=[50.0, 95.0, 80.0]))
+    assert reasons["f"] == "statistical-reject"
 
 
 def test_rule_indifference_constant_everywhere():
-    cat = build_catalog([trip("A", "t1", f=[5.0, 5.0]), trip("B", "t2", f=[5.0, 5.0])])
-    (decision,) = apply_selection_rules(cat)
-    assert decision.reason == "indifference"
+    reasons = reasons_of(trip("A", "t1", f=[5.0, 5.0]), trip("B", "t2", f=[5.0, 5.0]))
+    assert reasons["f"] == "indifference"
 
 
 def test_rule2_skipped_single_driver():
-    cat = build_catalog([trip("A", "t1", f=[5.0, 5.0])])
-    (decision,) = apply_selection_rules(cat)
-    assert decision.kept
+    # with one driver the indifference rule is skipped; a constant scores 0
+    reasons = reasons_of(trip("A", "t1", f=[5.0, 5.0]))
+    assert reasons["f"] == "statistical-reject"
 
 
 def test_rules_order_independent():
@@ -142,9 +155,9 @@ def test_rules_order_independent():
         trip("B", "t2", f=[5.0, 9.0], g=[0.0, 0.0]),
         trip("A", "t3", f=[1.5, 2.5], g=[0.0, 0.0]),
     ]
-    forward = apply_selection_rules(build_catalog(trips))
-    backward = apply_selection_rules(build_catalog(trips[::-1]))
-    assert forward == backward
+    forward = select_essential(trips)
+    backward = select_essential(trips[::-1])
+    assert forward == backward == (["f"], {"f": "kept", "g": "invariance"})
 
 
 def _separable_corpus(rng):
@@ -169,16 +182,17 @@ def _separable_corpus(rng):
 def test_select_essential_separable_vs_indistinct():
     rng = np.random.default_rng(42)
     trips = _separable_corpus(rng)
-    cat = build_catalog(trips)
-    decisions = apply_selection_rules(cat)
-    essential = select_essential(decisions, cat, separation_score_threshold=0.5)
+    essential, reasons = select_essential(trips)
     assert sorted(essential) == ["sep1", "sep2", "sep3"]
+    assert reasons["dull1"] == reasons["dull2"] == "statistical-reject"
 
     # brute-force check of the ranking statistic: separable features must
-    # out-score indistinct ones under a direct comparison of summaries
+    # out-score indistinct ones, and essential lists them best first
+    scores = {name: reference_score(trips, name) for name in reasons}
     for sep in ("sep1", "sep2", "sep3"):
         for dull in ("dull1", "dull2"):
-            assert separation_score(cat.features[sep]) > separation_score(cat.features[dull])
+            assert scores[sep] > SEPARATION_THRESHOLD > scores[dull]
+    assert essential == sorted(essential, key=lambda name: -scores[name])
 
 
 def test_select_essential_never_resurrects():
@@ -186,30 +200,40 @@ def test_select_essential_never_resurrects():
     trips = _separable_corpus(rng)
     for t in trips:
         t.features["broken"] = np.full(200, math.nan)
-    cat = build_catalog(trips)
-    decisions = apply_selection_rules(cat)
-    essential = select_essential(decisions, cat, 0.5)
-    survivors = {d.feature for d in decisions if d.kept}
-    assert set(essential) <= survivors
-    assert "broken" not in essential
+    essential, reasons = select_essential(trips)
+    assert reasons["broken"] == "missing-value"
+    assert set(essential) == {name for name, reason in reasons.items() if reason == "kept"}
 
 
 def test_select_essential_zero_survivors():
-    cat = build_catalog([trip("A", "t1", f=[1.0, 2.0]), trip("B", "t2", f=[1.1, 2.1])])
-    decisions = apply_selection_rules(cat)
+    trips = [trip("A", "t1", f=[1.0, 2.0]), trip("B", "t2", f=[1.1, 2.1])]
     with pytest.raises(
-        NoEssentialFeaturesError, match=r"no feature scored above the separation threshold 1000000000\.0$"
+        NoEssentialFeaturesError, match=r"no feature scored above the separation threshold 0\.5$"
     ):
-        select_essential(decisions, cat, separation_score_threshold=1e9)
+        select_essential(trips)
 
 
 def test_finalize_decisions_marks_statistical_reject():
     rng = np.random.default_rng(3)
-    trips = _separable_corpus(rng)
-    cat = build_catalog(trips)
-    decisions = apply_selection_rules(cat)
-    essential = select_essential(decisions, cat, 0.5)
-    final = finalize_decisions(decisions, essential)
-    reasons = {d.feature: d.reason for d in final}
+    _, reasons = select_essential(_separable_corpus(rng))
     assert reasons["dull1"] == "statistical-reject"
     assert reasons["sep1"] == "kept"
+
+
+def test_target_cut_rejects_sixth_survivor():
+    # six rule survivors, each scoring above the threshold
+    rng = np.random.default_rng(4)
+    trips = [
+        trip(driver, f"{driver}_t{i}",
+             **{f"f{j}": rng.normal(level, (7 - j) * 0.5, 100) for j in range(1, 7)})
+        for driver, level in (("A", 0.0), ("B", 10.0))
+        for i in range(2)
+    ]
+    scores = {f"f{j}": reference_score(trips, f"f{j}") for j in range(1, 7)}
+    assert min(scores.values()) > SEPARATION_THRESHOLD
+    ranked = sorted(scores, key=lambda name: -scores[name])
+    essential, reasons = select_essential(trips)
+    assert len(essential) == ESSENTIAL_TARGET == 5
+    assert essential == ranked[:5] == ["f2", "f4", "f6", "f1", "f5"]
+    assert reasons == {**dict.fromkeys(essential, "kept"), "f3": "statistical-reject"}
+    assert list(reasons) == [f"f{j}" for j in range(1, 7)]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from theftdetect.ingest import build_catalog
+from theftdetect.ingest import driver_stats
 from theftdetect.synth import (
     CorpusConfig,
     DriverProfile,
@@ -53,11 +53,11 @@ def test_separated_bases_separate_catalog_means():
     ] + [
         generate_trip(pb, 600.0, 1.0, seed=10 + i, trip_id=f"B_t{i}") for i in range(3)
     ]
-    cat = build_catalog(trips)
-    stats = cat.features["f"]
-    gap = abs(stats.per_driver["A"].mean - stats.per_driver["B"].mean)
-    pooled_within = max(stats.per_driver["A"].std, stats.per_driver["B"].std)
-    assert gap >= 4 * pooled_within
+    (mean_a, std_a), (mean_b, std_b) = (
+        driver_stats(np.concatenate([t.features["f"] for t in trips if t.driver_id == d]))[:2]
+        for d in ("A", "B")
+    )
+    assert abs(mean_a - mean_b) >= 4 * max(std_a, std_b)
 
 
 def two_trips(n=600):
