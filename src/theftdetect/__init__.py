@@ -1,9 +1,11 @@
 """Owner-only automobile theft detection from CAN-derived trip time series.
 
-Pipeline: ingest trip CSVs -> select essential features -> highlighted
+Pipeline: ingest trip CSVs -> select essential features -> hann-highlighted
 (n_windows, window_len) matrix per feature -> per-feature k-means codebooks ->
-batched nearest-centroid reconstruction -> per-window mean error > threshold
--> strict-majority vote of the m models over the (models, windows) theft matrix.
+batched nearest-centroid reconstruction -> mean error per 32 s detection
+window > threshold -> strict-majority vote of the m models over the
+(models, windows) theft matrix. One ``WindowConfig`` holds the window, stride
+and detection-window lengths in samples.
 """
 
 __version__ = "0.1.0"

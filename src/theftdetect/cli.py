@@ -21,7 +21,6 @@ import numpy as np
 
 from . import cluster, detect, ingest, reconstruct, synth, windowing
 from .cluster import Codebook, InfeasibleKError
-from .detect import DetectionConfig
 from .ingest import TripLog
 from .windowing import WindowConfig
 
@@ -49,6 +48,14 @@ class RunConfig:
     restarts: int = cluster.DEFAULT_RESTARTS
     trips_per_driver: int = 10
     duration_s: float = 600.0
+
+    def __post_init__(self) -> None:
+        for key in ("sample_period_s", "window_s", "stride_s", "duration_s"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
+        for key, least in (("restarts", 1), ("trips_per_driver", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
@@ -140,11 +147,6 @@ def train_codebooks(
     return books
 
 
-def detection_config(books: dict[str, Codebook]) -> DetectionConfig:
-    """Detection windows at the codebooks' sample period (``load_models`` makes it one)."""
-    return DetectionConfig(sample_period_s=next(iter(books.values())).cfg.sample_period_s)
-
-
 def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray:
     """Representative error per (model, detection window) of one trip, rows in ``books`` order.
 
@@ -152,11 +154,11 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
     sampled at another period than the codebooks, or with a missing or
     non-finite sample in a model's feature, are rejected.
     """
-    dcfg = detection_config(books)
-    if trip.sample_period_s != dcfg.sample_period_s:
+    wcfg = next(iter(books.values())).cfg  # load_models makes every book's cfg the same
+    if trip.sample_period_s != wcfg.sample_period_s:
         raise ingest.IngestError(
             f"trip {trip.trip_id} is sampled every {trip.sample_period_s} s, "
-            f"but the codebooks every {dcfg.sample_period_s} s"
+            f"but the codebooks every {wcfg.sample_period_s} s"
         )
     rows = []
     for feature, cb in books.items():
@@ -166,7 +168,7 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
         if not np.isfinite(series).all():
             raise ingest.IngestError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
         err = reconstruct.error_series(reconstruct.reconstruct_series(series, cb))
-        rows.append(detect.windows_verdicts(err, dcfg))
+        rows.append(detect.windows_verdicts(err, wcfg.detection_len))
     return np.stack(rows)
 
 
@@ -253,6 +255,8 @@ def load_thresholds(models_dir: str | Path, features: list[str]) -> dict[str, fl
     if not path.exists():
         raise ConfigError(f"no thresholds in {models_dir}: run `evaluate` first")
     thresholds = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(thresholds, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(thresholds).__name__}")
     for feature in features:
         theta = thresholds.get(feature)
         if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0 <= theta < math.inf:
@@ -267,7 +271,7 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     errors = trip_model_verdicts(trip, books)
     theft = errors > np.array([[thresholds[f]] for f in books])
     votes, flagged = detect.ensemble_vote(theft)
-    dlen = detection_config(books).detection_len
+    dlen = next(iter(books.values())).cfg.detection_len
     starts = range(0, errors.shape[1] * dlen, dlen)
     report: dict = {
         "trip_id": trip.trip_id,
@@ -306,7 +310,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
-    dlen = detection_config(books).detection_len
+    dlen = next(iter(books.values())).cfg.detection_len
     trip_errors, trip_labels = [], []
     for entry, trip in val:
         trip_errors.append(trip_model_verdicts(trip, books))
@@ -468,8 +472,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "synth":
-            if cfg.trips_per_driver < 1:
-                raise ConfigError("trips_per_driver must be at least 1")
             return cmd_synth(cfg)
         if args.command == "ingest":
             return cmd_ingest(cfg)

@@ -10,6 +10,7 @@ a window matrix to its nearest centroid in one batched pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,15 @@ DEFAULT_K = 300  # operating point used on the original four-driver data
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 5
+# the keys save_codebook writes, less format_version (checked first) and
+# trained_at (always null)
+_CODEBOOK_KEYS = (
+    "feature", "k", "window_len", "stride_len", "sample_period_s", "window_s", "stride_s",
+    "filter_name", "centroids", "sse", "seed", "training_meta",
+)
+# rows per distance block in _assign_all: the block's temporaries (rows * k *
+# window_len floats, 1.2 MB at k=300 and 32 samples) stay cache-sized
+ASSIGN_CHUNK = 16
 
 
 class ClusterError(Exception):
@@ -34,14 +44,6 @@ class InfeasibleKError(ClusterError):
 
 
 @dataclass(frozen=True)
-class TrainingMeta:
-    trip_ids: tuple[str, ...]
-    segment_count: int
-    iterations: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class Codebook:
     """Trained centroids representing one feature's trusted driving patterns."""
 
@@ -50,7 +52,10 @@ class Codebook:
     centroids: np.ndarray  # shape (k, window_len)
     sse: float
     cfg: WindowConfig
-    meta: TrainingMeta
+    trip_ids: tuple[str, ...]
+    segment_count: int
+    iterations: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.centroids.shape != (self.k, self.cfg.window_len):
@@ -84,18 +89,16 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _assign_all(
-    x: np.ndarray, centroids: np.ndarray, chunk: int = 256
-) -> tuple[np.ndarray, np.ndarray]:
+def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances; ties go to lowest index.
 
-    Exact pairwise differences, chunked to bound memory at large k.
+    Exact pairwise differences, ``ASSIGN_CHUNK`` rows at a time.
     """
     n = len(x)
     labels = np.empty(n, dtype=np.intp)
     best_d2 = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, ASSIGN_CHUNK):
+        hi = min(lo + ASSIGN_CHUNK, n)
         d2 = ((x[lo:hi, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels[lo:hi] = np.argmin(d2, axis=1)
         best_d2[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
@@ -183,12 +186,10 @@ def kmeans_fit(
         centroids=centroids,
         sse=sse,
         cfg=cfg,
-        meta=TrainingMeta(
-            trip_ids=tuple(trip_ids),
-            segment_count=len(x),
-            iterations=iterations,
-            seed=seed,
-        ),
+        trip_ids=tuple(trip_ids),
+        segment_count=len(x),
+        iterations=iterations,
+        seed=seed,
     )
 
 
@@ -254,43 +255,55 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
         "sample_period_s": cb.cfg.sample_period_s,
         "window_s": cb.cfg.window_s,
         "stride_s": cb.cfg.stride_s,
-        "filter_name": cb.cfg.filter_name,
-        "centroids": [list(row) for row in cb.centroids.tolist()],
+        "filter_name": "hann",
+        "centroids": cb.centroids.tolist(),
         "sse": cb.sse,
-        "seed": cb.meta.seed,
+        "seed": cb.seed,
         "trained_at": None,
         "training_meta": {
-            "trip_ids": list(cb.meta.trip_ids),
-            "segment_count": cb.meta.segment_count,
-            "iterations": cb.meta.iterations,
+            "trip_ids": list(cb.trip_ids),
+            "segment_count": cb.segment_count,
+            "iterations": cb.iterations,
         },
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_codebook(path: str | Path) -> Codebook:
+    """A codebook written by ``save_codebook``; a missing key, a filter other than
+    hann, a k that is not a positive int or a non-finite number is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
-        raise ClusterError(f"unsupported codebook format {doc.get('format_version')!r}")
-    cfg = WindowConfig(
-        sample_period_s=doc["sample_period_s"],
-        window_s=doc["window_s"],
-        stride_s=doc["stride_s"],
-        filter_name=doc["filter_name"],
-    )
+    if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
+        raise ClusterError(f"{path}: unsupported codebook format")
+    missing = [key for key in _CODEBOOK_KEYS if key not in doc]
+    if missing:
+        raise ClusterError(f"{path} lacks keys {missing}")
+    k, sse, meta = doc["k"], doc["sse"], doc["training_meta"]
+    if doc["filter_name"] != "hann":
+        raise ClusterError(f"{path}: unsupported filter {doc['filter_name']!r}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ClusterError(f"{path}: k must be a positive int, got {k!r}")
+    if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
+        raise ClusterError(f"{path}: sse must be a finite number, got {sse!r}")
+    if not isinstance(meta, dict):
+        raise ClusterError(f"{path}: training_meta must be an object")
+    try:
+        cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
+        centroids = np.array(doc["centroids"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ClusterError(f"{path}: malformed codebook: {exc}") from exc
+    if not np.isfinite(centroids).all():
+        raise ClusterError(f"{path} has non-finite centroid values")
     if cfg.window_len != doc["window_len"] or cfg.stride_len != doc["stride_len"]:
         raise ClusterError("stored window/stride lengths disagree with config")
-    meta = doc.get("training_meta", {})
     return Codebook(
         feature=doc["feature"],
-        k=doc["k"],
-        centroids=np.array(doc["centroids"], dtype=float),
-        sse=doc["sse"],
+        k=k,
+        centroids=centroids,
+        sse=sse,
         cfg=cfg,
-        meta=TrainingMeta(
-            trip_ids=tuple(meta.get("trip_ids", ())),
-            segment_count=meta.get("segment_count", 0),
-            iterations=meta.get("iterations", 0),
-            seed=doc["seed"],
-        ),
+        trip_ids=tuple(meta.get("trip_ids", ())),
+        segment_count=meta.get("segment_count", 0),
+        iterations=meta.get("iterations", 0),
+        seed=doc["seed"],
     )

@@ -1,8 +1,9 @@
 """Windowed theft verdicts, ROC threshold tuning, majority ensemble, metrics.
 
-The error series is reshaped into non-overlapping detection windows (32 s by
-default); each window's mean error is its representative error, and a window
-is flagged as theft when that error strictly exceeds the model threshold.
+The error series is reshaped into non-overlapping detection windows of
+``WindowConfig.detection_len`` samples (32 s); each window's mean error is its
+representative error, and a window is flagged as theft when that error
+strictly exceeds the model threshold.
 Thresholds are tuned on an ROC sweep by Youden's J, and the theft flags of the
 m single-feature models, one row per model in a boolean matrix, are combined
 by a strict majority vote.
@@ -16,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .windowing import _round_half_up
-
 
 class DetectError(Exception):
     pass
@@ -28,20 +27,6 @@ class DegenerateLabelsError(DetectError):
 
 
 @dataclass(frozen=True)
-class DetectionConfig:
-    sample_period_s: float
-    detection_window_s: float = 32.0
-
-    def __post_init__(self) -> None:
-        if self.detection_len < 1:
-            raise DetectError("detection window shorter than one sample")
-
-    @property
-    def detection_len(self) -> int:
-        return _round_half_up(self.detection_window_s / self.sample_period_s)
-
-
-@dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray  # ascending
     tpr: np.ndarray
@@ -49,16 +34,18 @@ class RocCurve:
     auc: float
 
 
-def windows_verdicts(errors: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
+def windows_verdicts(errors: np.ndarray, detection_len: int) -> np.ndarray:
     """Mean error of each full detection window; window i starts at i * detection_len.
 
     A window is theft iff its mean error > the model threshold.
     """
-    w = cfg.detection_len
-    n = len(errors) // w
-    if n == 0:
-        raise DetectError(f"error series of length {len(errors)} shorter than detection window {w}")
-    return errors[: n * w].reshape(n, w).mean(axis=1)
+    if not 1 <= detection_len <= len(errors):
+        raise DetectError(
+            f"detection window of {detection_len} samples must be in [1, {len(errors)}], "
+            "the length of the error series"
+        )
+    n = len(errors) // detection_len
+    return errors[: n * detection_len].reshape(n, detection_len).mean(axis=1)
 
 
 def ensemble_vote(theft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,15 +22,10 @@ class ReconstructError(Exception):
 
 @dataclass(frozen=True)
 class Reconstruction:
-    feature: str
+    """The highlighted series and its reconstruction, both overlap-merged to one length."""
+
     original_assembled: np.ndarray
     reconstructed: np.ndarray
-    labels: np.ndarray  # nearest centroid index per window
-    distances: np.ndarray  # Euclidean distance to that centroid per window
-
-    def __post_init__(self) -> None:
-        if len(self.original_assembled) != len(self.reconstructed):
-            raise ReconstructError("assembled sequences differ in length")
 
 
 def overlap_merge(windows: np.ndarray, stride: int) -> np.ndarray:
@@ -51,13 +46,10 @@ def reconstruct_series(series: np.ndarray, cb: Codebook) -> Reconstruction:
     """Rebuild a series from nearest codebook centroids."""
     cfg = cb.cfg
     windows = slide_highlighted(series, cfg)
-    labels, distances = assign(windows, cb)
+    labels, _ = assign(windows, cb)
     return Reconstruction(
-        feature=cb.feature,
         original_assembled=overlap_merge(windows, cfg.stride_len),
         reconstructed=overlap_merge(cb.centroids[labels], cfg.stride_len),
-        labels=labels,
-        distances=distances,
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import TripLog
-from .windowing import _round_half_up
+from .windowing import DETECTION_WINDOW_S, _round_half_up
 
 
 class SynthError(Exception):
@@ -29,7 +29,6 @@ class FeatureSpec:
     """Generator parameters for one feature of one driver."""
 
     base: float
-    drift_per_s: float = 0.0
     ar_coeff: float = 0.0
     noise_scale: float = 1.0
     event_amplitude: float = 0.0
@@ -70,11 +69,10 @@ def generate_trip(
     sample_period_s: float,
     seed: int,
     trip_id: str | None = None,
-    min_duration_s: float = 32.0,
 ) -> TripLog:
     """First-order autoregressive series per feature, deterministic per seed."""
-    if duration_s < min_duration_s:
-        raise SynthError(f"duration {duration_s}s shorter than one window ({min_duration_s}s)")
+    if duration_s < DETECTION_WINDOW_S:
+        raise SynthError(f"duration {duration_s}s shorter than one window ({DETECTION_WINDOW_S}s)")
     n = _round_half_up(duration_s / sample_period_s)
     rng = np.random.default_rng(seed)
     t = np.arange(n) * sample_period_s
@@ -91,9 +89,8 @@ def generate_trip(
         noise[0] = shocks[0]
         for i in range(1, n):
             noise[i] = spec.ar_coeff * noise[i - 1] + shocks[i]
-        base = spec.base + spec.drift_per_s * t
         events = spec.event_amplitude * np.sin(2 * np.pi * t / spec.event_period_s)
-        features[name] = base + events + noise
+        features[name] = spec.base + events + noise
     return TripLog(
         trip_id=trip_id or f"{profile.driver_id}_seed{seed}",
         driver_id=profile.driver_id,
@@ -158,6 +155,8 @@ _BASES = {
 }
 _NOISE = (2.0, 1.8, 45.0, 9.0, 40.0)
 _EVENT_AMP = {"A": 3.0, "B": 5.5, "C": 1.5, "D": 7.5}
+SPLICE_FRACTION = 0.75  # a splice trip's final 25% comes from the donor
+SPLICE_DONOR = "B"
 
 
 def default_profiles() -> list[DriverProfile]:
@@ -192,8 +191,6 @@ class CorpusConfig:
     thief_val_trips: int = 2
     non_owner_trips: int = 4
     splice_trips: int = 1
-    splice_fraction: float = 0.75  # final 25% replaced
-    splice_donor: str = "B"
 
     def __post_init__(self) -> None:
         if self.owner_train_trips < 1 or self.owner_val_trips < 0 or self.thief_val_trips < 0:
@@ -278,12 +275,12 @@ def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict
 
     for _ in range(cfg.splice_trips):
         victim = make_trip(owner)
-        donor = make_trip(cfg.splice_donor)
+        donor = make_trip(SPLICE_DONOR)
         spec = SpliceSpec(
             victim_trip_id=victim.trip_id,
-            donor_driver_id=cfg.splice_donor,
-            start_fraction=cfg.splice_fraction,
-            length_s=cfg.duration_s * (1.0 - cfg.splice_fraction),
+            donor_driver_id=SPLICE_DONOR,
+            start_fraction=SPLICE_FRACTION,
+            length_s=cfg.duration_s * (1.0 - SPLICE_FRACTION),
         )
         spliced, labels = splice_theft(victim, donor, spec)
         record(spliced, "val-splice", labels, splice=asdict(spec))

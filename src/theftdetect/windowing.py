@@ -1,9 +1,11 @@
-"""Sliding-window matrices and zero-endpoint filter highlighting.
+"""Sliding-window matrices, hann highlighting and the detection-window length.
 
 A single-feature series becomes one ``(n_windows, window_len)`` matrix whose
 row ``i`` is the window starting at sample ``i * stride_len`` (32 s window,
-16 s stride by default). Highlighting multiplies every row by a raised-cosine
-filter that starts and ends at zero, concentrating the signal mid-window.
+16 s stride by default). Highlighting multiplies every row by the hann
+(raised-cosine) filter, which starts and ends at zero and so concentrates the
+signal mid-window. Verdicts are taken over non-overlapping detection windows
+of ``DETECTION_WINDOW_S`` seconds at every sample period.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+DETECTION_WINDOW_S = 32.0
 
 
 class WindowError(Exception):
@@ -29,14 +34,6 @@ def hann_filter(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * i / (n - 1)))
 
 
-def triangular_filter(n: int) -> np.ndarray:
-    i = np.arange(n)
-    return 1.0 - np.abs(2.0 * i / (n - 1) - 1.0)
-
-
-FILTERS = {"hann": hann_filter, "triangular": triangular_filter}
-
-
 @dataclass(frozen=True)
 class WindowConfig:
     """Window/stride in seconds, converted to sample counts (round half up)."""
@@ -44,19 +41,18 @@ class WindowConfig:
     sample_period_s: float
     window_s: float = 32.0
     stride_s: float = 16.0
-    filter_name: str = "hann"
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0 or self.window_s <= 0 or self.stride_s <= 0:
-            raise WindowError("window, stride, and sample period must be positive")
-        if self.filter_name not in FILTERS:
-            raise WindowError(f"unknown filter {self.filter_name!r}")
+        if not all(0 < v < math.inf for v in (self.sample_period_s, self.window_s, self.stride_s)):
+            raise WindowError("window, stride, and sample period must be finite and positive")
         if self.window_len < 2:
             raise WindowError(f"window_len {self.window_len} < 2")
         if not 1 <= self.stride_len <= self.window_len:
             raise WindowError(
                 f"stride_len {self.stride_len} must be in [1, {self.window_len}]"
             )
+        if self.detection_len < 1:
+            raise WindowError("detection window shorter than one sample")
 
     @property
     def window_len(self) -> int:
@@ -66,8 +62,9 @@ class WindowConfig:
     def stride_len(self) -> int:
         return _round_half_up(self.stride_s / self.sample_period_s)
 
-    def filter_coefficients(self) -> np.ndarray:
-        return FILTERS[self.filter_name](self.window_len)
+    @property
+    def detection_len(self) -> int:
+        return _round_half_up(DETECTION_WINDOW_S / self.sample_period_s)
 
 
 def slide(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
@@ -82,5 +79,5 @@ def slide(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
 
 
 def slide_highlighted(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
-    """Window matrix with every row multiplied by the zero-endpoint filter."""
-    return slide(series, cfg) * cfg.filter_coefficients()
+    """Window matrix with every row multiplied by the hann filter."""
+    return slide(series, cfg) * hann_filter(cfg.window_len)

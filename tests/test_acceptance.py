@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from theftdetect import cli, cluster, detect, ingest, reconstruct, synth, windowing
 from theftdetect.cli import window_labels
-from theftdetect.detect import DetectionConfig
 from theftdetect.windowing import WindowConfig, hann_filter
 
 
@@ -76,7 +75,7 @@ def test_splice_localization(run):
         trip = ingest.parse_trip(corpus / entry["file"], 1.0,
                                  trip_id=entry["trip_id"], driver_id=entry["driver_id"])
 
-        dcfg = DetectionConfig(sample_period_s=1.0)
+        dlen = WindowConfig(1.0).detection_len
         theft = []
         for feature, cb in books.items():
             rec = reconstruct.reconstruct_series(trip.features[feature], cb)
@@ -84,10 +83,10 @@ def test_splice_localization(run):
             inside = err[sample_labels[: len(err)]]
             outside = err[~sample_labels[: len(err)]]
             assert inside.mean() >= 3.0 * outside.mean(), feature
-            theft.append(detect.windows_verdicts(err, dcfg) > thresholds[feature])
+            theft.append(detect.windows_verdicts(err, dlen) > thresholds[feature])
 
         _, ens = detect.ensemble_vote(np.array(theft))
-        labels = window_labels(sample_labels, len(theft[0]), dcfg.detection_len)
+        labels = window_labels(sample_labels, len(theft[0]), dlen)
         flagged = labels[ens]
         assert flagged.size, "no theft windows flagged at all"
         assert flagged.mean() >= 0.8
@@ -170,14 +169,14 @@ def test_reconstruction_identity(run):
 def test_detection_properties():
     with criterion("detection properties"):
         rng = np.random.default_rng(1)
-        dcfg = DetectionConfig(sample_period_s=1.0)
+        dlen = WindowConfig(1.0).detection_len
         for _ in range(50):
             errs = rng.uniform(0, 10, size=96)
             t_lo, t_hi = sorted(rng.uniform(0, 10, size=2))
-            means = detect.windows_verdicts(errs, dcfg)
+            means = detect.windows_verdicts(errs, dlen)
             assert (means > t_hi).sum() <= (means > t_lo).sum()
 
-        (mean,) = detect.windows_verdicts(np.full(32, 4.25), dcfg)
+        (mean,) = detect.windows_verdicts(np.full(32, 4.25), dlen)
         assert not mean > 4.25
 
         patterns = np.array(list(itertools.product([False, True], repeat=5)))

@@ -175,7 +175,7 @@ def test_detect_mixed_window_configs_is_data_error(pipeline, tmp_path):
     shutil.copytree(pipeline / "models", models)
     path = sorted(models.glob("codebook_*.json"))[0]
     doc = json.loads(path.read_text())
-    doc["filter_name"] = "triangular"
+    doc["stride_s"], doc["stride_len"] = 8.0, 8
     path.write_text(json.dumps(doc))
     trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
     assert run("detect", "--data", str(pipeline / "corpus"), "--models", str(models),
@@ -340,6 +340,78 @@ def test_config_value_types_accepted(pipeline, tmp_path):
     cfg_file.write_text(json.dumps({"window_s": 32, "k": None, "restarts": 1}))
     assert run("--config", str(cfg_file), "train", "--data", str(pipeline / "corpus"),
                "--out", str(tmp_path / "out")) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, flags, doc", [
+    ("train", ["--restarts", "0"], None),
+    ("train", [], {"restarts": -1}),
+    ("synth", ["--sample-period", "0"], None),
+    ("train", [], {"window_s": math.nan}),
+    ("train", ["--window", "nan"], None),
+    ("train", ["--stride", "-1"], None),
+    ("synth", ["--duration", "nan"], None),
+    ("synth", ["--trips", "0"], None),
+    ("detect", ["--sample-period", "0"], None),
+    ("synth", ["--seed", "-1"], None),
+    ("train", ["--seed", "-1"], None),
+], ids=["restarts-0", "config-restarts", "synth-period-0", "config-window-nan", "window-nan",
+        "stride-negative", "duration-nan", "trips-0", "detect-period-0", "synth-seed-negative",
+        "train-seed-negative"])
+def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command, flags, doc):
+    out = tmp_path / "out"
+    config = []
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        config = ["--config", str(tmp_path / "cfg.json")]
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    args = {
+        "synth": ["--data", str(out)],
+        "train": ["--data", str(pipeline / "corpus"), "--out", str(out), "--k", "10"],
+        "detect": ["--models", str(pipeline / "models"), "--out", str(out),
+                   "--trip", str(pipeline / "corpus" / trip["file"])],
+    }[command]
+    assert run(*config, command, *args, *flags) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.pop("sse"),
+    lambda doc: doc.pop("window_len"),
+    lambda doc: doc.pop("training_meta"),
+    lambda doc: doc.update(k=float(doc["k"])),
+    lambda doc: doc["centroids"][0].__setitem__(3, math.nan),
+    lambda doc: doc.update(sse=math.nan),
+    lambda doc: doc.update(sse=math.inf),
+    lambda doc: doc.update(filter_name="triangular"),
+], ids=["no-sse", "no-window-len", "no-training-meta", "k-float", "centroid-nan", "sse-nan",
+        "sse-inf", "filter-triangular"])
+def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    # every book alike, so load_models' mixed-config check cannot catch it instead
+    for path in models.glob("codebook_*.json"):
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    out = tmp_path / "out"
+    assert run("detect", "--models", str(models), "--out", str(out),
+               "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_thresholds_file_not_an_object_is_config_error(pipeline, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline / "models", models)
+    (models / "thresholds.json").write_text(json.dumps([1.0, 2.0]))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    out = tmp_path / "out"
+    assert run("detect", "--models", str(models), "--out", str(out),
+               "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("essential", [

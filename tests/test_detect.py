@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from theftdetect.detect import (
     DegenerateLabelsError,
     DetectError,
-    DetectionConfig,
     compute_metrics,
     ensemble_vote,
     optimize_threshold,
@@ -15,42 +14,39 @@ from theftdetect.detect import (
     threshold_grid,
     windows_verdicts,
 )
+from theftdetect.windowing import WindowConfig, WindowError
 
 
 def errors(values):
     return np.asarray(values, dtype=float)
 
 
-def dcfg(window=32.0, period=1.0):
-    return DetectionConfig(sample_period_s=period, detection_window_s=window)
-
-
 def test_all_zero_errors_are_owner():
-    means = windows_verdicts(errors(np.zeros(96)), dcfg())
+    means = windows_verdicts(errors(np.zeros(96)), 32)
     assert len(means) == 3
     assert not (means > 6.0).any()
 
 
 def test_mean_error_above_threshold_is_theft():
     # transmission-oil-temperature operating point: threshold 6
-    (mean,) = windows_verdicts(errors(np.full(32, 10.0)), dcfg())
+    (mean,) = windows_verdicts(errors(np.full(32, 10.0)), 32)
     assert mean == 10.0
     assert mean > 6.0
 
 
 def test_boundary_is_owner():
-    (mean,) = windows_verdicts(errors(np.full(32, 6.0)), dcfg())
+    (mean,) = windows_verdicts(errors(np.full(32, 6.0)), 32)
     assert not mean > 6.0
 
 
 def test_trailing_partial_window_dropped():
-    means = windows_verdicts(errors(np.arange(70.0)), dcfg())
+    means = windows_verdicts(errors(np.arange(70.0)), 32)
     np.testing.assert_array_equal(means, [15.5, 47.5])  # windows start at 0 and 32
 
 
 def test_too_short_series():
     with pytest.raises(DetectError):
-        windows_verdicts(errors(np.zeros(10)), dcfg())
+        windows_verdicts(errors(np.zeros(10)), 32)
 
 
 @given(
@@ -62,7 +58,7 @@ def test_window_means_match_per_slice_mean(errs, window):
     if len(errs) < window:
         return
     expected = [errs[s : s + window].mean() for s in range(0, len(errs) - window + 1, window)]
-    means = windows_verdicts(errors(errs), dcfg(window=float(window)))
+    means = windows_verdicts(errors(errs), window)
     np.testing.assert_array_equal(means, expected)
 
 
@@ -73,7 +69,7 @@ def test_window_means_match_per_slice_mean(errs, window):
 )
 def test_threshold_monotonicity(errs, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
-    means = windows_verdicts(errors(errs), dcfg(window=8.0))
+    means = windows_verdicts(errors(errs), 8)
     assert (means > hi).sum() <= (means > lo).sum()
 
 
@@ -313,5 +309,8 @@ def test_metrics_length_mismatch():
 
 
 def test_detection_config_validation():
+    # a 100 s sample period leaves 32 s detection windows 0.32 samples long
+    with pytest.raises(WindowError):
+        WindowConfig(sample_period_s=100.0, window_s=200.0, stride_s=100.0)
     with pytest.raises(DetectError):
-        DetectionConfig(sample_period_s=1.0, detection_window_s=0.4)  # rounds to 0 samples
+        windows_verdicts(errors(np.zeros(10)), 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from theftdetect.cluster import kmeans_fit
+from theftdetect.cluster import assign, kmeans_fit
 from theftdetect.reconstruct import (
     ReconstructError,
     Reconstruction,
@@ -26,9 +26,9 @@ def train_codebook(series, cfg, k=None):
     return kmeans_fit(windows, "f", k or len(windows), seed=0, cfg=cfg)
 
 
-def assembled(original, reconstructed):
-    """A Reconstruction built from its two assembled sequences alone."""
-    return Reconstruction("f", original, reconstructed, np.empty(0, dtype=int), np.empty(0))
+def nearest(series, cb):
+    """Nearest centroid index and distance per window, as reconstruction finds them."""
+    return assign(slide_highlighted(series, cb.cfg), cb)
 
 
 def test_perfect_codebook_reconstructs_exactly():
@@ -38,7 +38,7 @@ def test_perfect_codebook_reconstructs_exactly():
     cb = train_codebook(series, cfg)
     rec = reconstruct_series(series, cb)
     np.testing.assert_allclose(rec.reconstructed, rec.original_assembled, atol=1e-9)
-    assert rec.distances.max() <= 1e-9
+    assert nearest(series, cb)[1].max() <= 1e-9
     assert error_series(rec).max() <= 1e-9
 
 
@@ -49,7 +49,7 @@ def test_single_window_is_nearest_centroid():
     cb = train_codebook(train, cfg, k=3)
     series = rng.normal(size=8)
     rec = reconstruct_series(series, cb)
-    (idx,) = rec.labels
+    (idx,), _ = nearest(series, cb)
     np.testing.assert_array_equal(rec.reconstructed, cb.centroids[idx])
 
 
@@ -78,8 +78,9 @@ def test_reconstruct_matches_naive_reference(window, stride):
         count[s : s + length] += 1
 
     rec = reconstruct_series(series, cb)
-    np.testing.assert_array_equal(rec.labels, labels)
-    np.testing.assert_array_equal(rec.distances, distances)
+    nearest_labels, nearest_distances = nearest(series, cb)
+    np.testing.assert_array_equal(nearest_labels, labels)
+    np.testing.assert_array_equal(nearest_distances, distances)
     np.testing.assert_array_equal(rec.original_assembled, acc_o / count)
     np.testing.assert_array_equal(rec.reconstructed, acc_r / count)
 
@@ -87,7 +88,7 @@ def test_reconstruct_matches_naive_reference(window, stride):
 def test_error_series_elementwise_oracle():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=50), rng.normal(size=50)
-    err = error_series(assembled(a, b))
+    err = error_series(Reconstruction(a, b))
     for i in range(50):
         expected = a[i] - b[i] if a[i] >= b[i] else b[i] - a[i]
         assert err[i] == expected
@@ -96,14 +97,14 @@ def test_error_series_elementwise_oracle():
 def test_error_series_symmetry_and_sign():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=30), rng.normal(size=30)
-    e1 = error_series(assembled(a, b))
-    e2 = error_series(assembled(b, a))
+    e1 = error_series(Reconstruction(a, b))
+    e2 = error_series(Reconstruction(b, a))
     np.testing.assert_array_equal(e1, e2)
     assert (e1 >= 0).all()
 
 
 def test_error_series_arithmetic():
-    assert error_series(assembled(np.array([5.0]), np.array([3.0])))[0] == 2.0
+    assert error_series(Reconstruction(np.array([5.0]), np.array([3.0])))[0] == 2.0
 
 
 def test_overlap_merge_matches_direct_computation():
@@ -117,7 +118,7 @@ def test_overlap_merge_matches_direct_computation():
 
     w = hann_filter(cfg.window_len)
     n = len(rec.original_assembled)
-    starts = np.arange(len(rec.labels)) * cfg.stride_len
+    starts = np.arange(len(nearest(series, cb)[0])) * cfg.stride_len
     for i in range(n):
         contributions = [
             series[i] * w[i - s] for s in starts if s <= i < s + cfg.window_len
@@ -153,7 +154,7 @@ def test_reconstruct_length_invariant():
     cb = train_codebook(rng.normal(size=48), cfg, k=4)
     series = rng.normal(size=31)  # tail beyond last full window dropped
     rec = reconstruct_series(series, cb)
-    last_start = (len(rec.labels) - 1) * cfg.stride_len
+    last_start = (len(nearest(series, cb)[0]) - 1) * cfg.stride_len
     assert len(rec.reconstructed) == last_start + cfg.window_len
     assert len(rec.reconstructed) <= 31
 
@@ -166,8 +167,8 @@ def test_spliced_tail_raises_distances():
     cb = train_codebook(owner, cfg, k=8)
     spliced = owner.copy()
     spliced[150:] = thief[150:]
-    rec = reconstruct_series(spliced, cb)
-    starts = np.arange(len(rec.labels)) * cfg.stride_len
-    pre = rec.distances[starts + cfg.window_len <= 150]
-    post = rec.distances[starts >= 150]
+    _, distances = nearest(spliced, cb)
+    starts = np.arange(len(distances)) * cfg.stride_len
+    pre = distances[starts + cfg.window_len <= 150]
+    post = distances[starts >= 150]
     assert np.mean(post) > 5 * np.mean(pre)

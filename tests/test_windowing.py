@@ -8,14 +8,11 @@ from theftdetect.windowing import (
     hann_filter,
     slide,
     slide_highlighted,
-    triangular_filter,
 )
 
 
-def cfg(window=32, stride=16, period=1.0, filter_name="hann"):
-    return WindowConfig(
-        sample_period_s=period, window_s=window, stride_s=stride, filter_name=filter_name
-    )
+def cfg(window=32, stride=16, period=1.0):
+    return WindowConfig(sample_period_s=period, window_s=window, stride_s=stride)
 
 
 def test_slide_counts_64():
@@ -88,10 +85,9 @@ def test_highlight_all_zeros():
 
 @given(st.integers(2, 200))
 def test_filter_endpoints_exactly_zero(n):
-    for f in (hann_filter, triangular_filter):
-        w = f(n)
-        assert w[0] == 0.0
-        assert w[n - 1] == 0.0
+    w = hann_filter(n)
+    assert w[0] == 0.0
+    assert w[n - 1] == 0.0
 
 
 @given(st.integers(2, 200))
@@ -122,8 +118,6 @@ def test_window_config_validation():
         WindowConfig(sample_period_s=1.0, window_s=1.0, stride_s=1.0)  # window_len < 2
     with pytest.raises(WindowError):
         WindowConfig(sample_period_s=1.0, window_s=32.0, stride_s=48.0)  # stride > window
-    with pytest.raises(WindowError):
-        WindowConfig(sample_period_s=1.0, window_s=32.0, stride_s=16.0, filter_name="boxcar")
 
 
 def test_seconds_to_samples_round_half_up():
