@@ -2,8 +2,8 @@
 """Run the full pipeline end to end on a fresh synthetic corpus.
 
 Synthesizes the corpus, selects features, trains the codebooks, tunes and
-scores the models on the validation trips, runs detection on the splice trip
-and renders the report tables.
+scores the models on the validation trips, runs detection on every validation
+and splice trip and renders the report tables.
 
 Usage: python scripts/run_pipeline.py [workdir] [--seed N]
 """
@@ -23,17 +23,18 @@ def steps(work: Path, seed: str) -> Iterator[list[str]]:
     yield ["ingest", "--data", corpus, "--out", models]
     yield ["train", "--data", corpus, "--out", models, "--seed", seed]
     yield ["evaluate", "--data", corpus, "--models", models, "--out", out, "--seed", seed]
-    splice = next(t for t in synth.load_manifest(corpus)["trips"] if t["role"] == "val-splice")
-    yield ["detect", "--data", corpus, "--models", models, "--out", out,
-           "--trip", str(work / "corpus" / splice["file"])]
+    for trip in synth.load_manifest(corpus)["trips"]:
+        if trip["role"].startswith("val-"):
+            yield ["detect", "--models", models, "--out", out,
+                   "--trip", str(work / "corpus" / trip["file"])]
     yield ["report", "--out", out, "--report", str(work / "out" / "report.json")]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("workdir", nargs="?", default="work")
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     work = Path(args.workdir)
     for step in steps(work, str(args.seed)):

@@ -206,7 +206,10 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        doc = json.loads(features_file.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(features_file.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ingest.IngestError(f"{features_file} is not valid JSON: {exc}") from None
         essential = doc.get("essential") if isinstance(doc, dict) else None
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
@@ -315,6 +318,11 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     for entry, trip in val:
         trip_errors.append(trip_model_verdicts(trip, books))
         sample_labels = synth.load_labels(cfg.data_dir, entry["labels"])
+        if len(sample_labels) != trip.length:
+            raise synth.SynthError(
+                f"{Path(cfg.data_dir) / entry['labels']} has {len(sample_labels)} labels "
+                f"for the {trip.length} samples of trip {trip.trip_id}"
+            )
         trip_labels.append(window_labels(sample_labels, trip_errors[-1].shape[1], dlen))
     # one row per model, validation windows in trip order
     errors = np.concatenate(trip_errors, axis=1)

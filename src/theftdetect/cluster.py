@@ -270,9 +270,13 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    """A codebook written by ``save_codebook``; a missing key, a filter other than
-    hann, a k that is not a positive int or a non-finite number is rejected."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """A codebook written by ``save_codebook``; a file that is not JSON, a missing key,
+    a filter other than hann, a k that is not a positive int or a non-finite number
+    is rejected."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ClusterError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
         raise ClusterError(f"{path}: unsupported codebook format")
     missing = [key for key in _CODEBOOK_KEYS if key not in doc]

@@ -1,9 +1,14 @@
-"""Deterministic synthetic multi-driver corpus with theft-splice trips.
+"""Deterministic synthetic four-driver corpus with theft-splice trips.
 
-Four drivers (one owner) with per-feature autoregressive profiles, plus
-deliberately indistinct, all-missing, and all-zero features so the selection
-rules have something to reject. Trips are written in the same CSV format the
-ingest stage reads, with a JSON manifest and per-trip ground-truth label CSVs.
+Every driver (A to D, one of them the owner) records the same nine features.
+The five ``SEPARABLE_FEATURES`` are AR(1) noise plus a sine around per-driver
+levels (``_BASES``, ``_NOISE``, ``_EVENT_AMP``); the two
+``INDISTINCT_FEATURES`` are drawn alike for every driver, ``MISSING_FEATURE``
+is all-missing and ``ZERO_FEATURE`` all-zero, so every selection rule has
+something to reject. A splice trip is an owner trip whose samples from
+``SPLICE_FRACTION`` of its length on come from a ``SPLICE_DONOR`` trip. Trips
+are written in the CSV format the ingest stage reads, with a JSON manifest and
+per-trip ground-truth label CSVs.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,115 +28,6 @@ from .windowing import DETECTION_WINDOW_S, _round_half_up
 class SynthError(Exception):
     pass
 
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Generator parameters for one feature of one driver."""
-
-    base: float
-    ar_coeff: float = 0.0
-    noise_scale: float = 1.0
-    event_amplitude: float = 0.0
-    event_period_s: float = 120.0
-    kind: str = "signal"  # signal | zero | missing
-
-    def __post_init__(self) -> None:
-        if self.kind == "signal":
-            if not 0.0 <= self.ar_coeff < 1.0:
-                raise SynthError("ar_coeff must be in [0, 1)")
-            if self.noise_scale <= 0:
-                raise SynthError("noise_scale must be positive")
-
-
-@dataclass(frozen=True)
-class DriverProfile:
-    driver_id: str
-    features: dict[str, FeatureSpec]
-
-
-@dataclass(frozen=True)
-class SpliceSpec:
-    victim_trip_id: str
-    donor_driver_id: str
-    start_fraction: float
-    length_s: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.start_fraction < 1.0:
-            raise SynthError("start_fraction must be in [0, 1)")
-        if self.length_s < 0:
-            raise SynthError("length_s must be nonnegative")
-
-
-def generate_trip(
-    profile: DriverProfile,
-    duration_s: float,
-    sample_period_s: float,
-    seed: int,
-    trip_id: str | None = None,
-) -> TripLog:
-    """First-order autoregressive series per feature, deterministic per seed."""
-    if duration_s < DETECTION_WINDOW_S:
-        raise SynthError(f"duration {duration_s}s shorter than one window ({DETECTION_WINDOW_S}s)")
-    n = _round_half_up(duration_s / sample_period_s)
-    rng = np.random.default_rng(seed)
-    t = np.arange(n) * sample_period_s
-    features: dict[str, np.ndarray] = {}
-    for name, spec in profile.features.items():
-        if spec.kind == "zero":
-            features[name] = np.zeros(n)
-            continue
-        if spec.kind == "missing":
-            features[name] = np.full(n, math.nan)
-            continue
-        shocks = rng.standard_normal(n) * spec.noise_scale
-        noise = np.empty(n)
-        noise[0] = shocks[0]
-        for i in range(1, n):
-            noise[i] = spec.ar_coeff * noise[i - 1] + shocks[i]
-        events = spec.event_amplitude * np.sin(2 * np.pi * t / spec.event_period_s)
-        features[name] = spec.base + events + noise
-    return TripLog(
-        trip_id=trip_id or f"{profile.driver_id}_seed{seed}",
-        driver_id=profile.driver_id,
-        sample_period_s=sample_period_s,
-        features=features,
-    )
-
-
-def splice_theft(
-    victim: TripLog, donor: TripLog, spec: SpliceSpec
-) -> tuple[TripLog, np.ndarray]:
-    """Replace a window of the victim trip with donor data, for all features.
-
-    Returns the spliced trip and a boolean label array (True = theft sample).
-    """
-    if set(victim.features) != set(donor.features):
-        raise SynthError("victim and donor carry different feature sets")
-    if victim.sample_period_s != donor.sample_period_s:
-        raise SynthError("victim and donor sample periods differ")
-    n = victim.length
-    start = _round_half_up(spec.start_fraction * n)
-    length = _round_half_up(spec.length_s / victim.sample_period_s)
-    if start + length > n:
-        raise SynthError(f"splice [{start}, {start + length}) exceeds trip length {n}")
-    if donor.length < start + length:
-        raise SynthError("donor trip too short for the splice window")
-    features = {name: values.copy() for name, values in victim.features.items()}
-    for name in features:
-        features[name][start : start + length] = donor.features[name][start : start + length]
-    labels = np.zeros(n, dtype=bool)
-    labels[start : start + length] = True
-    spliced = TripLog(
-        trip_id=f"{victim.trip_id}_spliced",
-        driver_id=victim.driver_id,
-        sample_period_s=victim.sample_period_s,
-        features=features,
-    )
-    return spliced, labels
-
-
-# --- default corpus ---------------------------------------------------------
 
 SEPARABLE_FEATURES = (
     "transmission_oil_temperature",
@@ -154,30 +50,58 @@ _BASES = {
     "D": (126.0, 80.0, 2890.0, 900.0, 2480.0),
 }
 _NOISE = (2.0, 1.8, 45.0, 9.0, 40.0)
+#: A driver's sine amplitude, in noise scales of each separable feature.
 _EVENT_AMP = {"A": 3.0, "B": 5.5, "C": 1.5, "D": 7.5}
 SPLICE_FRACTION = 0.75  # a splice trip's final 25% comes from the donor
 SPLICE_DONOR = "B"
 
 
-def default_profiles() -> list[DriverProfile]:
-    profiles = []
-    for driver, bases in _BASES.items():
-        features: dict[str, FeatureSpec] = {}
-        for name, base, noise in zip(SEPARABLE_FEATURES, bases, _NOISE):
-            features[name] = FeatureSpec(
-                base=base,
-                ar_coeff=0.9,
-                noise_scale=noise,
-                event_amplitude=_EVENT_AMP[driver] * noise,
-                event_period_s=90.0 + 20.0 * (ord(driver) - ord("A")),
-            )
-        for name in INDISTINCT_FEATURES:
-            # identical spec for every driver: no discriminative value
-            features[name] = FeatureSpec(base=20.0, ar_coeff=0.5, noise_scale=1.0)
-        features[MISSING_FEATURE] = FeatureSpec(base=0.0, kind="missing")
-        features[ZERO_FEATURE] = FeatureSpec(base=0.0, kind="zero")
-        profiles.append(DriverProfile(driver_id=driver, features=features))
-    return profiles
+def ar_sine(rng: np.random.Generator, t: np.ndarray, base: float, ar_coeff: float,
+            noise_scale: float, amplitude: float = 0.0, period_s: float = 120.0) -> np.ndarray:
+    """``base`` plus a sine of ``amplitude`` and ``period_s`` plus AR(1) noise
+    whose shocks are normal with standard deviation ``noise_scale``, at times ``t``."""
+    shocks = rng.standard_normal(len(t)) * noise_scale
+    noise = np.empty(len(t))
+    noise[0] = shocks[0]
+    for i in range(1, len(t)):
+        noise[i] = ar_coeff * noise[i - 1] + shocks[i]
+    return base + amplitude * np.sin(2 * np.pi * t / period_s) + noise
+
+
+def generate_trip(
+    driver: str, duration_s: float, sample_period_s: float, seed: int, trip_id: str
+) -> TripLog:
+    """One trip of ``driver`` (a key of ``_BASES``), deterministic per seed."""
+    n = _round_half_up(duration_s / sample_period_s)
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * sample_period_s
+    period_s = 90.0 + 20.0 * (ord(driver) - ord("A"))
+    features = {
+        name: ar_sine(rng, t, base, 0.9, noise, _EVENT_AMP[driver] * noise, period_s)
+        for name, base, noise in zip(SEPARABLE_FEATURES, _BASES[driver], _NOISE)
+    }
+    for name in INDISTINCT_FEATURES:
+        features[name] = ar_sine(rng, t, 20.0, 0.5, 1.0)
+    features[MISSING_FEATURE] = np.full(n, math.nan)
+    features[ZERO_FEATURE] = np.zeros(n)
+    return TripLog(trip_id, driver, sample_period_s, features)
+
+
+def splice_theft(
+    victim: TripLog, donor: TripLog, start: int, length: int
+) -> tuple[TripLog, np.ndarray]:
+    """The victim trip with samples ``[start, start + length)`` of every feature
+    taken from the donor trip, and its labels (True = theft sample)."""
+    n = min(victim.length, donor.length)
+    if start + length > n:
+        raise SynthError(f"splice [{start}, {start + length}) exceeds trip length {n}")
+    features = {name: values.copy() for name, values in victim.features.items()}
+    for name, values in features.items():
+        values[start : start + length] = donor.features[name][start : start + length]
+    labels = np.zeros(victim.length, dtype=bool)
+    labels[start : start + length] = True
+    spliced = TripLog(f"{victim.trip_id}_spliced", victim.driver_id, victim.sample_period_s, features)
+    return spliced, labels
 
 
 @dataclass(frozen=True)
@@ -216,82 +140,63 @@ def _write_labels_csv(labels: np.ndarray, path: Path) -> None:
 
 
 def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict:
-    """Generate and persist the corpus; returns the manifest."""
-    outdir = Path(outdir)
-    trips_dir = outdir / "trips"
-    labels_dir = outdir / "labels"
-    trips_dir.mkdir(parents=True, exist_ok=True)
-    labels_dir.mkdir(parents=True, exist_ok=True)
+    """Generate and persist the corpus; returns the manifest.
 
-    profiles = {p.driver_id: p for p in default_profiles()}
-    if cfg.owner not in profiles:
+    An unknown owner, trips shorter than one detection window or a splice
+    window past the end of a trip is rejected before anything is written.
+    """
+    if cfg.owner not in _BASES:
         raise SynthError(f"unknown owner {cfg.owner!r}")
-    manifest_trips = []
-    trip_seq = 0
+    if cfg.duration_s < DETECTION_WINDOW_S:
+        raise SynthError(f"duration {cfg.duration_s}s shorter than one window ({DETECTION_WINDOW_S}s)")
+    # every trip has n samples, so one splice window serves every splice trip
+    n = _round_half_up(cfg.duration_s / cfg.sample_period_s)
+    start = _round_half_up(SPLICE_FRACTION * n)
+    length_s = cfg.duration_s * (1.0 - SPLICE_FRACTION)
+    length = _round_half_up(length_s / cfg.sample_period_s)
+    if cfg.splice_trips > 0 and start + length > n:
+        raise SynthError(f"splice [{start}, {start + length}) exceeds trip length {n}")
 
-    def make_trip(driver: str) -> TripLog:
-        nonlocal trip_seq
-        trip_seq += 1
-        trip_seed = cfg.seed * 100_000 + trip_seq
-        trip_id = f"{driver}_trip{trip_seq:03d}"
-        trip = generate_trip(
-            profiles[driver], cfg.duration_s, cfg.sample_period_s, trip_seed, trip_id=trip_id
-        )
-        return trip
-
-    def record(trip: TripLog, role: str, labels: np.ndarray, splice: dict | None = None) -> None:
-        trip_file = f"trips/{trip.trip_id}.csv"
-        label_file = f"labels/{trip.trip_id}.csv"
-        _write_trip_csv(trip, outdir / trip_file)
-        _write_labels_csv(labels, outdir / label_file)
-        manifest_trips.append(
-            {
-                "trip_id": trip.trip_id,
-                "driver_id": trip.driver_id,
-                "role": role,
-                "file": trip_file,
-                "labels": label_file,
-                "splice": splice,
-            }
-        )
-
-    owner = cfg.owner
-    for _ in range(cfg.owner_train_trips):
-        trip = make_trip(owner)
-        record(trip, "train", np.zeros(trip.length, dtype=bool))
-    for _ in range(cfg.owner_val_trips):
-        trip = make_trip(owner)
-        record(trip, "val-owner", np.zeros(trip.length, dtype=bool))
-
-    thieves = [d for d in profiles if d != owner]
-    for i in range(cfg.thief_val_trips):
-        driver = thieves[i % len(thieves)]
-        trip = make_trip(driver)
-        record(trip, "val-thief", np.ones(trip.length, dtype=bool))
-    for driver in thieves:
-        for _ in range(cfg.non_owner_trips):
-            trip = make_trip(driver)
-            record(trip, "catalog", np.zeros(trip.length, dtype=bool))
-
-    for _ in range(cfg.splice_trips):
-        victim = make_trip(owner)
-        donor = make_trip(SPLICE_DONOR)
-        spec = SpliceSpec(
-            victim_trip_id=victim.trip_id,
-            donor_driver_id=SPLICE_DONOR,
-            start_fraction=SPLICE_FRACTION,
-            length_s=cfg.duration_s * (1.0 - SPLICE_FRACTION),
-        )
-        spliced, labels = splice_theft(victim, donor, spec)
-        record(spliced, "val-splice", labels, splice=asdict(spec))
+    outdir = Path(outdir)
+    (outdir / "trips").mkdir(parents=True, exist_ok=True)
+    (outdir / "labels").mkdir(parents=True, exist_ok=True)
+    thieves = [d for d in _BASES if d != cfg.owner]
+    # (driver, role) in trip sequence order; each splice victim is followed by its donor
+    plan = (
+        [(cfg.owner, "train")] * cfg.owner_train_trips
+        + [(cfg.owner, "val-owner")] * cfg.owner_val_trips
+        + [(thieves[i % len(thieves)], "val-thief") for i in range(cfg.thief_val_trips)]
+        + [(driver, "catalog") for driver in thieves for _ in range(cfg.non_owner_trips)]
+        + [(cfg.owner, "val-splice"), (SPLICE_DONOR, "donor")] * cfg.splice_trips
+    )
+    trips = (
+        (role, generate_trip(driver, cfg.duration_s, cfg.sample_period_s,
+                             cfg.seed * 100_000 + seq, f"{driver}_trip{seq:03d}"))
+        for seq, (driver, role) in enumerate(plan, start=1)
+    )
+    entries = []
+    for role, trip in trips:
+        labels = np.full(trip.length, role == "val-thief")
+        splice = None
+        if role == "val-splice":
+            splice = {"victim_trip_id": trip.trip_id, "donor_driver_id": SPLICE_DONOR,
+                      "start_fraction": SPLICE_FRACTION, "length_s": length_s}
+            _, donor = next(trips)
+            trip, labels = splice_theft(trip, donor, start, length)
+        entry = {"trip_id": trip.trip_id, "driver_id": trip.driver_id, "role": role,
+                 "file": f"trips/{trip.trip_id}.csv", "labels": f"labels/{trip.trip_id}.csv",
+                 "splice": splice}
+        _write_trip_csv(trip, outdir / entry["file"])
+        _write_labels_csv(labels, outdir / entry["labels"])
+        entries.append(entry)
 
     manifest = {
         "seed": cfg.seed,
-        "owner": owner,
-        "drivers": sorted(profiles),
+        "owner": cfg.owner,
+        "drivers": sorted(_BASES),
         "sample_period_s": cfg.sample_period_s,
         "duration_s": cfg.duration_s,
-        "trips": manifest_trips,
+        "trips": entries,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -304,7 +209,10 @@ def load_manifest(corpus_dir: str | Path) -> dict:
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
         raise SynthError(f"no manifest.json in {corpus_dir}")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SynthError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("owner"), str):
         raise SynthError(f"{path} names no owner")
     if not isinstance(manifest.get("trips"), list):
@@ -316,5 +224,10 @@ def load_manifest(corpus_dir: str | Path) -> dict:
 
 
 def load_labels(corpus_dir: str | Path, label_file: str) -> np.ndarray:
-    lines = (Path(corpus_dir) / label_file).read_text(encoding="utf-8").strip().splitlines()
-    return np.array([bool(int(v)) for v in lines[1:]], dtype=bool)
+    """Per-sample ground truth (True = theft) from a ``label`` header and one 0 or 1 a line."""
+    path = Path(corpus_dir) / label_file
+    lines = [line.strip() for line in path.read_text(encoding="utf-8").strip().splitlines()[1:]]
+    bad = set(lines) - {"0", "1"}
+    if bad:
+        raise SynthError(f"{path}: labels must be 0 or 1, got {sorted(bad)[:3]}")
+    return np.array([line == "1" for line in lines], dtype=bool)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theftdetect.cli import (
     EXIT_DATA,
@@ -237,6 +237,34 @@ def test_detect_unknown_feature_schema_error(pipeline, tmp_path):
     assert code == EXIT_DATA
 
 
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 240), order=st.permutations(range(9)))
+@example(rows=31, order=list(range(9))).via("one row short of a window")
+@example(rows=32, order=list(range(9))[::-1]).via("exactly one window")
+def test_detect_short_or_permuted_trip(pipeline, rows, order):
+    """Fewer rows than a window exit 2 without a report; permuted columns do not change it."""
+    models = pipeline / "models"
+    window_len = json.loads(next(models.glob("codebook_*.json")).read_text())["window_len"]
+    entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
+    with open(pipeline / "corpus" / entry["file"], newline="") as fh:
+        table = [row for row in csv.reader(fh)][: rows + 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        codes, reports = [], []
+        for name, columns in (("plain", range(9)), ("permuted", order)):
+            trip = Path(tmp) / name / "A_trip.csv"
+            trip.parent.mkdir()
+            with open(trip, "w", newline="") as fh:
+                csv.writer(fh).writerows([[row[c] for c in columns] for row in table])
+            out = Path(tmp) / name / "out"
+            codes.append(run("detect", "--models", str(models), "--out", str(out), "--trip", str(trip)))
+            reports.append(sorted(out.glob("detection_*.json")))
+        if rows < window_len:
+            assert codes == [EXIT_DATA, EXIT_DATA] and reports == [[], []]
+        else:
+            assert codes == [EXIT_OK, EXIT_OK]
+            assert reports[0][0].read_bytes() == reports[1][0].read_bytes()
+
+
 @given(labels=st.lists(st.booleans(), max_size=200), dlen=st.integers(1, 40))
 def test_window_labels_match_per_window_majority(labels, dlen):
     labels = np.array(labels, dtype=bool)
@@ -251,6 +279,18 @@ def test_missing_data_dir_is_data_error(tmp_path):
 
 def test_zero_trips_is_config_error(tmp_path):
     assert run("synth", "--data", str(tmp_path / "c"), "--trips", "0") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--owner", "Z"], "unknown owner 'Z'"),
+    (["--duration", "34.4"], "splice [26, 35) exceeds trip length 34"),
+    (["--duration", "20"], "duration 20.0s shorter than one window"),
+], ids=["unknown-owner", "splice-past-end", "shorter-than-window"])
+def test_synth_rejects_before_writing(tmp_path, capsys, flags, message):
+    assert run("synth", "--data", str(tmp_path / "c"), *flags) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_infeasible_k_exit_code(tmp_path):
@@ -431,6 +471,49 @@ def test_stale_features_file_is_data_error(pipeline, tmp_path, capsys, essential
                "--k", "10", "--restarts", "1") == EXIT_DATA
     assert capsys.readouterr().err.startswith("data error:")
     assert not list(models.glob("codebook_*.json"))
+
+
+@pytest.mark.parametrize("target", ["codebook", "manifest", "features"])
+def test_corrupt_json_data_file_is_data_error(pipeline, tmp_path, capsys, target):
+    corpus, models, out = tmp_path / "corpus", tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "corpus", corpus)
+    shutil.copytree(pipeline / "models", models)
+    trip = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    path, args = {
+        "codebook": (sorted(models.glob("codebook_*.json"))[0],
+                     ["detect", "--models", str(models), "--out", str(out),
+                      "--trip", str(corpus / trip["file"])]),
+        "manifest": (corpus / "manifest.json",
+                     ["evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out)]),
+        "features": (models / "features.json",
+                     ["train", "--data", str(corpus), "--out", str(models), "--k", "40"]),
+    }[target]
+    path.write_bytes(path.read_bytes()[:200])
+    before = {p.name: p.read_bytes() for p in models.iterdir()}
+    assert run(*args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{path} is not valid JSON" in err
+    assert not out.exists()
+    assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines: lines[:5] + ["x"] + lines[6:],
+    lambda lines: lines[:5] + ["7"] + lines[6:],
+    lambda lines: lines[:2],
+    lambda lines: lines + ["0"],
+], ids=["non-numeric", "seven", "one-row", "extra-row"])
+def test_corrupt_label_file_is_data_error(pipeline, tmp_path, capsys, corrupt):
+    corpus, models, out = tmp_path / "corpus", tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "corpus", corpus)
+    shutil.copytree(pipeline / "models", models)
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    path = corpus / entry["labels"]
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    assert run("evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert not out.exists()
 
 
 def test_subcommand_flags():

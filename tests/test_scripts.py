@@ -2,6 +2,7 @@ import importlib.util
 from pathlib import Path
 
 from theftdetect.cli import EXIT_OK, main
+from theftdetect.synth import load_manifest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,3 +27,14 @@ def test_elbow_experiment_smoke(tmp_path, capsys):
         assert lines[0] == "12 training windows for transmission_oil_temperature"
         assert [int(line[2:6]) for line in lines[1:]] == [1, 3, 5]
         assert sum("<- recommended" in line for line in lines) == 1
+
+
+def test_run_pipeline_smoke(tmp_path, capsys):
+    run_pipeline = load_script("run_pipeline")
+    assert run_pipeline.main([str(tmp_path), "--seed", "3"]) == 0
+    assert capsys.readouterr().out.endswith(f"done; see {tmp_path / 'out' / 'report.md'}\n")
+    scored = [t for t in load_manifest(tmp_path / "corpus")["trips"] if t["role"].startswith("val-")]
+    assert {t["role"] for t in scored} == {"val-owner", "val-thief", "val-splice"}
+    names = {p.name for p in (tmp_path / "out").iterdir()}
+    assert {f"detection_{t['trip_id']}.json" for t in scored} <= names
+    assert {"report.json", "report.md", "report.csv"} <= names

@@ -4,14 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from theftdetect.ingest import driver_stats
+from theftdetect.ingest import TripLog, driver_stats
 from theftdetect.synth import (
     CorpusConfig,
-    DriverProfile,
-    FeatureSpec,
-    SpliceSpec,
     SynthError,
-    default_profiles,
+    ar_sine,
     generate_trip,
     load_labels,
     load_manifest,
@@ -20,74 +17,65 @@ from theftdetect.synth import (
 )
 
 
-def profile(driver="A", **spec_kwargs):
-    return DriverProfile(driver_id=driver, features={"f": FeatureSpec(**spec_kwargs)})
+def series(seed=0, n=600, base=0.0, ar_coeff=0.0, noise_scale=1.0, **kwargs):
+    return ar_sine(np.random.default_rng(seed), np.arange(n, dtype=float), base, ar_coeff,
+                   noise_scale, **kwargs)
 
 
 def test_degenerate_generator_constant_at_base():
-    p = profile(base=42.0, noise_scale=1e-300)
-    trip = generate_trip(p, 100.0, 1.0, seed=0)
-    np.testing.assert_allclose(trip.features["f"], 42.0, atol=1e-12)
+    np.testing.assert_allclose(series(base=42.0, noise_scale=1e-300, n=100), 42.0, atol=1e-12)
 
 
 def test_generation_deterministic():
-    p = profile(base=10.0, ar_coeff=0.8, noise_scale=2.0, event_amplitude=3.0)
-    a = generate_trip(p, 200.0, 1.0, seed=5)
-    b = generate_trip(p, 200.0, 1.0, seed=5)
-    np.testing.assert_array_equal(a.features["f"], b.features["f"])
-    c = generate_trip(p, 200.0, 1.0, seed=6)
-    assert not np.array_equal(a.features["f"], c.features["f"])
+    kwargs = dict(n=200, base=10.0, ar_coeff=0.8, noise_scale=2.0, amplitude=3.0)
+    a, b, c = series(5, **kwargs), series(5, **kwargs), series(6, **kwargs)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    first, again, other = (generate_trip("A", 200.0, 1.0, seed, "A_t").features for seed in (5, 5, 6))
+    for name, values in first.items():
+        np.testing.assert_array_equal(values, again[name])
+    assert not np.array_equal(first["back_left_wheel_speed"], other["back_left_wheel_speed"])
 
 
-def test_duration_shorter_than_window():
-    with pytest.raises(SynthError):
-        generate_trip(profile(base=1.0), 10.0, 1.0, seed=0)
+def test_duration_shorter_than_window(tmp_path):
+    with pytest.raises(SynthError, match="shorter than one window"):
+        write_corpus(tmp_path / "c", CorpusConfig(duration_s=10.0))
+    assert not (tmp_path / "c").exists()
 
 
 def test_separated_bases_separate_catalog_means():
     # bases 5+ noise scales apart must yield per-driver means 4+ pooled stds apart
-    pa = profile("A", base=0.0, noise_scale=1.0, ar_coeff=0.3)
-    pb = profile("B", base=8.0, noise_scale=1.0, ar_coeff=0.3)
-    trips = [
-        generate_trip(pa, 600.0, 1.0, seed=i, trip_id=f"A_t{i}") for i in range(3)
-    ] + [
-        generate_trip(pb, 600.0, 1.0, seed=10 + i, trip_id=f"B_t{i}") for i in range(3)
-    ]
     (mean_a, std_a), (mean_b, std_b) = (
-        driver_stats(np.concatenate([t.features["f"] for t in trips if t.driver_id == d]))[:2]
-        for d in ("A", "B")
+        driver_stats(np.concatenate([series(seed0 + i, base=base, ar_coeff=0.3) for i in range(3)]))[:2]
+        for seed0, base in ((0, 0.0), (10, 8.0))
     )
     assert abs(mean_a - mean_b) >= 4 * max(std_a, std_b)
 
 
 def two_trips(n=600):
-    p1 = profile("A", base=0.0, noise_scale=0.5)
-    p2 = DriverProfile("B", {"f": FeatureSpec(base=30.0, noise_scale=0.5)})
-    victim = generate_trip(p1, float(n), 1.0, seed=1)
-    donor = generate_trip(p2, float(n), 1.0, seed=2)
+    victim = TripLog("A_t1", "A", 1.0, {"f": series(1, n, base=0.0, noise_scale=0.5)})
+    donor = TripLog("B_t2", "B", 1.0, {"f": series(2, n, base=30.0, noise_scale=0.5)})
     return victim, donor
 
 
 def test_splice_zero_length():
     victim, donor = two_trips()
-    spec = SpliceSpec(victim.trip_id, "B", 0.5, 0.0)
-    spliced, labels = splice_theft(victim, donor, spec)
+    spliced, labels = splice_theft(victim, donor, 300, 0)
     np.testing.assert_array_equal(spliced.features["f"], victim.features["f"])
     assert not labels.any()
 
 
 def test_splice_whole_trip():
     victim, donor = two_trips()
-    spec = SpliceSpec(victim.trip_id, "B", 0.0, 600.0)
-    spliced, labels = splice_theft(victim, donor, spec)
+    spliced, labels = splice_theft(victim, donor, 0, 600)
     np.testing.assert_array_equal(spliced.features["f"], donor.features["f"])
     assert labels.all()
 
 
 def test_splice_final_160s():
     victim, donor = two_trips()
-    spec = SpliceSpec(victim.trip_id, "B", start_fraction=440 / 600, length_s=160.0)
-    spliced, labels = splice_theft(victim, donor, spec)
+    spliced, labels = splice_theft(victim, donor, 440, 160)
+    assert spliced.trip_id == "A_t1_spliced" and spliced.driver_id == "A"
     assert labels.sum() == 160
     assert labels[440:].all()
     assert not labels[:440].any()
@@ -97,16 +85,19 @@ def test_splice_final_160s():
 
 def test_splice_out_of_range():
     victim, donor = two_trips()
-    with pytest.raises(SynthError):
-        splice_theft(victim, donor, SpliceSpec(victim.trip_id, "B", 0.9, 200.0))
+    with pytest.raises(SynthError, match=r"splice \[540, 740\) exceeds trip length 600"):
+        splice_theft(victim, donor, 540, 200)
+    with pytest.raises(SynthError, match="exceeds trip length 400"):
+        splice_theft(victim, two_trips(400)[1], 300, 200)
 
 
 def test_default_profiles_exercise_selection_rules():
-    profiles = default_profiles()
-    assert len(profiles) == 4
-    for p in profiles:
-        kinds = {spec.kind for spec in p.features.values()}
-        assert kinds == {"signal", "zero", "missing"}
+    for driver in "ABCD":
+        features = generate_trip(driver, 120.0, 1.0, 1, f"{driver}_t").features
+        zero = [name for name, v in features.items() if not v.any()]
+        missing = [name for name, v in features.items() if np.isnan(v).all()]
+        signal = [name for name, v in features.items() if np.isfinite(v).all() and v.std() > 0]
+        assert len(zero) == 1 and len(missing) == 1 and len(signal) == 7
 
 
 def _dir_digest(root: Path) -> dict[str, str]:
@@ -155,12 +146,3 @@ def test_missing_and_zero_features_in_csv(tmp_path):
     cells = first_row.split(",")
     assert cells[cols.index("fuel_rail_pressure_raw")] == ""
     assert float(cells[cols.index("fuel_cutoff_flag")]) == 0.0
-
-
-def test_feature_spec_invariants():
-    with pytest.raises(SynthError):
-        FeatureSpec(base=0.0, ar_coeff=1.0)
-    with pytest.raises(SynthError):
-        FeatureSpec(base=0.0, noise_scale=0.0)
-    with pytest.raises(SynthError):
-        SpliceSpec("t", "B", 1.0, 10.0)
