@@ -31,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(windows)} training windows for {args.feature}")
 
     k_values = list(range(1, min(args.k_max, len(windows)) + 1, args.step))
-    curve = cluster.elbow_sweep(windows, args.feature, k_values, seed=args.seed, restarts=3, cfg=wcfg)
+    curve = cluster.elbow_sweep(windows, k_values, seed=args.seed, restarts=3)
     for k, sse in curve.points:
         marker = "  <- recommended" if k == curve.recommended_k else ""
         print(f"k={k:4d}  sse={sse:14.4f}{marker}")

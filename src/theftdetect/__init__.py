@@ -1,8 +1,9 @@
 """Owner-only automobile theft detection from CAN-derived trip time series.
 
-Pipeline: ingest trip CSVs -> select essential features -> hann-highlighted
-(n_windows, window_len) matrix per feature -> per-feature k-means codebooks ->
-batched nearest-centroid reconstruction -> mean error per 32 s detection
+Pipeline: ingest trip CSVs -> select essential features on the training and
+catalog trips -> hann-highlighted (n_windows, window_len) matrix per feature
+-> per-feature k-means centroids, kept in a codebook -> per-sample error of
+the batched nearest-centroid reconstruction -> mean error per 32 s detection
 window > threshold -> strict-majority vote of the m models over the
 (models, windows) theft matrix. One ``WindowConfig`` holds the window, stride
 and detection-window lengths in samples.

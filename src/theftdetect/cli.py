@@ -63,10 +63,21 @@ _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
 _JSON_TYPES = {"str": str, "float": (int, float), "int": int, "int | None": (int, type(None))}
 
 
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON document at ``path``; a file that cannot be read or decoded raises
+    ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - _CONFIG_FIELDS
@@ -83,18 +94,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 # --- pipeline helpers --------------------------------------------------------
 
+# the roles feature selection reads; validation trips never inform it
+SELECTION_ROLES = {"train", "catalog"}
 
-def load_corpus_trips(
-    data_dir: str | Path, roles: set[str] | None = None
-) -> tuple[dict, list[tuple[dict, TripLog]]]:
-    """The manifest and its (entry, TripLog) pairs, optionally filtered by role.
+
+def load_corpus_trips(data_dir: str | Path, roles: set[str]) -> tuple[dict, list[tuple[dict, TripLog]]]:
+    """The manifest and the (entry, TripLog) pairs of its trips whose role is in ``roles``.
 
     Trips are parsed at the manifest's sample period.
     """
     manifest = synth.load_manifest(data_dir)
     out = []
     for entry in manifest["trips"]:
-        if roles is not None and entry["role"] not in roles:
+        if entry["role"] not in roles:
             continue
         trip = ingest.parse_trip(
             Path(data_dir) / entry["file"],
@@ -134,15 +146,16 @@ def train_codebooks(
         windows = np.concatenate(
             [windowing.slide_highlighted(trip.features[feature], wcfg) for trip in owner_trips]
         )
-        books[feature] = cluster.kmeans_fit(
+        centroids, sse, iterations = cluster.kmeans_fit(
             windows,
-            feature,
             cluster.DEFAULT_K if cfg.k is None else cfg.k,
-            seed=cfg.seed,
+            cfg.seed,
             restarts=cfg.restarts,
-            cfg=wcfg,
-            trip_ids=trip_ids,
             strict_k=cfg.k is not None,
+        )
+        books[feature] = Codebook(
+            feature=feature, k=len(centroids), centroids=centroids, sse=sse, cfg=wcfg,
+            trip_ids=trip_ids, segment_count=len(windows), iterations=iterations, seed=cfg.seed,
         )
     return books
 
@@ -167,15 +180,8 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
             raise ingest.IngestError(f"trip {trip.trip_id} lacks feature {feature!r}")
         if not np.isfinite(series).all():
             raise ingest.IngestError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
-        err = reconstruct.error_series(reconstruct.reconstruct_series(series, cb))
-        rows.append(detect.windows_verdicts(err, wcfg.detection_len))
+        rows.append(detect.windows_verdicts(reconstruct.error_series(series, cb), wcfg.detection_len))
     return np.stack(rows)
-
-
-def window_labels(sample_labels: np.ndarray, n_windows: int, detection_len: int) -> np.ndarray:
-    """Ground truth per detection window: theft iff >50% of samples spliced."""
-    chunks = sample_labels[: n_windows * detection_len].reshape(n_windows, detection_len)
-    return chunks.sum(axis=1) * 2 > detection_len
 
 
 # --- subcommands --------------------------------------------------------------
@@ -195,7 +201,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    _, corpus = load_corpus_trips(cfg.data_dir)
+    _, corpus = load_corpus_trips(cfg.data_dir, SELECTION_ROLES)
     essential = select_features([t for _, t in corpus], Path(cfg.out_dir))
     print(f"essential features: {', '.join(essential)}")
     print(f"wrote {Path(cfg.out_dir) / 'features.json'}")
@@ -206,14 +212,11 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        try:
-            doc = json.loads(features_file.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ingest.IngestError(f"{features_file} is not valid JSON: {exc}") from None
+        doc = read_json(features_file, ingest.IngestError)
         essential = doc.get("essential") if isinstance(doc, dict) else None
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
-        manifest, corpus = load_corpus_trips(cfg.data_dir)
+        manifest, corpus = load_corpus_trips(cfg.data_dir, SELECTION_ROLES)
         essential = select_features([t for _, t in corpus], out_dir)
     # clustering reads owner training trips only
     owner = manifest["owner"]
@@ -257,7 +260,7 @@ def load_thresholds(models_dir: str | Path, features: list[str]) -> dict[str, fl
     path = Path(models_dir) / "thresholds.json"
     if not path.exists():
         raise ConfigError(f"no thresholds in {models_dir}: run `evaluate` first")
-    thresholds = json.loads(path.read_text(encoding="utf-8"))
+    thresholds = read_json(path, ConfigError)
     if not isinstance(thresholds, dict):
         raise ConfigError(f"{path} must hold a JSON object, got {type(thresholds).__name__}")
     for feature in features:
@@ -323,7 +326,9 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
                 f"{Path(cfg.data_dir) / entry['labels']} has {len(sample_labels)} labels "
                 f"for the {trip.length} samples of trip {trip.trip_id}"
             )
-        trip_labels.append(window_labels(sample_labels, trip_errors[-1].shape[1], dlen))
+        # a window is theft iff most of its samples are: its mean 0/1 label exceeds 0.5
+        window_theft = detect.windows_verdicts(sample_labels, dlen) > 0.5
+        trip_labels.append(window_theft[: trip_errors[-1].shape[1]])
     # one row per model, validation windows in trip order
     errors = np.concatenate(trip_errors, axis=1)
     labels = np.concatenate(trip_labels)
@@ -384,8 +389,7 @@ def report_rows(report: dict) -> Iterator[tuple[str, str, float | None, dict]]:
     the vote rule as its feature and no threshold."""
     for i, (feature, block) in enumerate(report["models"].items(), start=1):
         yield f"Model {i}", feature, block["threshold"], block["metrics"]
-    if report.get("ensemble"):
-        yield "Ensemble", report["ensemble"]["rule"], None, report["ensemble"]["metrics"]
+    yield "Ensemble", report["ensemble"]["rule"], None, report["ensemble"]["metrics"]
 
 
 def render_markdown(report: dict) -> str:
@@ -403,18 +407,22 @@ def render_markdown(report: dict) -> str:
 
 
 def cmd_report(cfg: RunConfig, report_path: str) -> int:
-    report = json.loads(Path(report_path).read_text(encoding="utf-8"))
+    report = read_json(report_path, detect.DetectError)
+    rows = ["model,feature,threshold,accuracy,precision,recall,f1"]
+    try:
+        markdown = render_markdown(report)
+        for model, feature, threshold, m in report_rows(report):
+            if threshold is None:
+                feature, threshold = "majority", ""
+            rows.append(
+                f"{model},{feature},{threshold},{m['accuracy']},"
+                f"{m['precision']},{m['recall']},{m['f1']}"
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise detect.DetectError(f"{report_path} is not an evaluate report: {exc!r}") from None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
-    rows = ["model,feature,threshold,accuracy,precision,recall,f1"]
-    for model, feature, threshold, m in report_rows(report):
-        if threshold is None:
-            feature, threshold = "majority", ""
-        rows.append(
-            f"{model},{feature},{threshold},{m['accuracy']},"
-            f"{m['precision']},{m['recall']},{m['f1']}"
-        )
+    (out_dir / "report.md").write_text(markdown, encoding="utf-8")
     (out_dir / "report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}")
     return EXIT_OK
@@ -492,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(cfg, args.report_path)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleKError as exc:
@@ -502,7 +510,6 @@ def main(argv: list[str] | None = None) -> int:
         ingest.IngestError,
         synth.SynthError,
         windowing.WindowError,
-        reconstruct.ReconstructError,
         detect.DetectError,
         cluster.ClusterError,
         FileNotFoundError,

@@ -1,10 +1,13 @@
-"""Per-feature k-means codebooks over highlighted window matrices.
+"""K-means over highlighted window matrices, and the codebooks that keep the centroids.
 
-Training takes one ``(n_windows, window_len)`` matrix per feature: Lloyd's
-iterations with distance-weighted (k-means++ style) seeding, best-of-restarts
-by SSE, elbow sweep with maximum-distance-to-chord knee detection, and
-versioned JSON persistence of trained codebooks. ``assign`` maps every row of
-a window matrix to its nearest centroid in one batched pass.
+``kmeans_fit`` takes one ``(n_windows, window_len)`` matrix and returns the
+centroid matrix, SSE and iteration count of the best of its restarts, each
+Lloyd's iterations from distance-weighted (k-means++ style) seeding.
+``elbow_sweep`` reads the SSE per k and recommends the knee, the point
+farthest from the chord. ``assign`` maps every row of a window matrix to its
+nearest centroid in one batched pass. A ``Codebook`` is one feature's
+centroids with their window config and training metadata, persisted as
+versioned JSON.
 """
 
 from __future__ import annotations
@@ -142,18 +145,15 @@ def lloyd(
 
 def kmeans_fit(
     x: np.ndarray,
-    feature: str,
     k: int,
     seed: int,
     restarts: int = DEFAULT_RESTARTS,
-    cfg: WindowConfig | None = None,
-    trip_ids: tuple[str, ...] = (),
     strict_k: bool = True,
-) -> Codebook:
-    """Best-of-restarts k-means codebook over the rows of ``x``; deterministic given the seed.
+) -> tuple[np.ndarray, float, int]:
+    """``(centroids, sse, iterations)`` of the best k-means restart over the rows of ``x``.
 
-    Unless ``strict_k``, k is capped at the number of distinct rows instead of
-    being rejected.
+    Deterministic given the seed. Unless ``strict_k``, k is capped at the
+    number of distinct rows instead of being rejected.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not len(x):
@@ -175,22 +175,7 @@ def kmeans_fit(
         centroids, _, sse, iterations, _ = lloyd(x, init, DEFAULT_MAX_ITER, DEFAULT_TOL)
         if best is None or sse < best[1]:
             best = (centroids, sse, iterations)
-    centroids, sse, iterations = best
-
-    if cfg is None:
-        window_len = x.shape[1]
-        cfg = WindowConfig(sample_period_s=1.0, window_s=float(window_len), stride_s=float(window_len) / 2)
-    return Codebook(
-        feature=feature,
-        k=k,
-        centroids=centroids,
-        sse=sse,
-        cfg=cfg,
-        trip_ids=tuple(trip_ids),
-        segment_count=len(x),
-        iterations=iterations,
-        seed=seed,
-    )
+    return best
 
 
 def knee_index(points: list[tuple[int, float]]) -> int:
@@ -213,31 +198,23 @@ def knee_index(points: list[tuple[int, float]]) -> int:
 
 
 def elbow_sweep(
-    x: np.ndarray,
-    feature: str,
-    k_values: list[int],
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-    cfg: WindowConfig | None = None,
+    x: np.ndarray, k_values: list[int], seed: int, restarts: int = DEFAULT_RESTARTS
 ) -> ElbowCurve:
     """SSE per k with knee-point recommendation."""
     if list(k_values) != sorted(set(k_values)):
         raise ClusterError("k_values must be strictly increasing")
-    points = []
-    for k in k_values:
-        cb = kmeans_fit(x, feature, k, seed, restarts=restarts, cfg=cfg)
-        points.append((k, cb.sse))
+    points = [(k, kmeans_fit(x, k, seed, restarts=restarts)[1]) for k in k_values]
     return ElbowCurve(points=tuple(points), recommended_k=points[knee_index(points)][0])
 
 
-def assign(windows: np.ndarray, cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid index and Euclidean distance per window row; ties break low."""
-    if windows.ndim != 2 or windows.shape[1] != cb.cfg.window_len:
+    if windows.ndim != 2 or windows.shape[1] != centroids.shape[1]:
         raise ClusterError(
             f"window matrix of shape {windows.shape} does not match "
-            f"codebook window_len {cb.cfg.window_len}"
+            f"centroid window_len {centroids.shape[1]}"
         )
-    labels, d2 = _assign_all(windows, cb.centroids)
+    labels, d2 = _assign_all(windows, centroids)
     return labels, np.sqrt(d2)
 
 

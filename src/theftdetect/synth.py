@@ -204,8 +204,13 @@ def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict
     return manifest
 
 
+# the keys of a manifest trip entry that the pipeline reads
+_TRIP_KEYS = ("trip_id", "driver_id", "role", "file", "labels")
+
+
 def load_manifest(corpus_dir: str | Path) -> dict:
-    """The corpus manifest; it must name the owner, the trips and the sample period."""
+    """The corpus manifest; it must name the owner, the trips and the sample period,
+    and each trip entry must give its ``_TRIP_KEYS`` as strings."""
     path = Path(corpus_dir) / "manifest.json"
     if not path.exists():
         raise SynthError(f"no manifest.json in {corpus_dir}")
@@ -220,6 +225,9 @@ def load_manifest(corpus_dir: str | Path) -> dict:
     period = manifest.get("sample_period_s")
     if isinstance(period, bool) or not isinstance(period, (int, float)) or not 0 < period < math.inf:
         raise SynthError(f"{path} needs a finite, positive sample_period_s, got {period!r}")
+    for i, entry in enumerate(manifest["trips"]):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in _TRIP_KEYS):
+            raise SynthError(f"{path}: trips[{i}] needs string {', '.join(_TRIP_KEYS)}")
     return manifest
 
 

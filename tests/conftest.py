@@ -1,5 +1,16 @@
 import numpy as np
 
+from theftdetect.cluster import DEFAULT_RESTARTS, Codebook, kmeans_fit
+
 
 def make_windows(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
     return rng.normal(size=(n, length))
+
+
+def fit_codebook(windows, k, cfg, seed=0, restarts=DEFAULT_RESTARTS, feature="f", trip_ids=()):
+    """A codebook of ``kmeans_fit`` centroids over ``windows``, as ``cli.train_codebooks`` builds one."""
+    centroids, sse, iterations = kmeans_fit(windows, k, seed, restarts=restarts)
+    return Codebook(
+        feature=feature, k=len(centroids), centroids=centroids, sse=sse, cfg=cfg,
+        trip_ids=tuple(trip_ids), segment_count=len(windows), iterations=iterations, seed=seed,
+    )

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fit_codebook
 from theftdetect import cli, cluster, detect, ingest, reconstruct, synth, windowing
-from theftdetect.cli import window_labels
 from theftdetect.windowing import WindowConfig, hann_filter
 
 
@@ -78,15 +78,14 @@ def test_splice_localization(run):
         dlen = WindowConfig(1.0).detection_len
         theft = []
         for feature, cb in books.items():
-            rec = reconstruct.reconstruct_series(trip.features[feature], cb)
-            err = reconstruct.error_series(rec)
+            err = reconstruct.error_series(trip.features[feature], cb)
             inside = err[sample_labels[: len(err)]]
             outside = err[~sample_labels[: len(err)]]
             assert inside.mean() >= 3.0 * outside.mean(), feature
             theft.append(detect.windows_verdicts(err, dlen) > thresholds[feature])
 
         _, ens = detect.ensemble_vote(np.array(theft))
-        labels = window_labels(sample_labels, len(theft[0]), dlen)
+        labels = detect.windows_verdicts(sample_labels, dlen)[: len(theft[0])] > 0.5
         flagged = labels[ens]
         assert flagged.size, "no theft windows flagged at all"
         assert flagged.mean() >= 0.8
@@ -107,8 +106,8 @@ def test_kmeans_properties_1000_segments():
             if len(members):
                 assert np.max(np.abs(centroids[j] - members.mean(axis=0))) <= 1e-9
 
-        cb = cluster.kmeans_fit(x, "f", 1000, seed=0, restarts=1)
-        assert cb.sse <= 1e-18
+        _, sse, _ = cluster.kmeans_fit(x, 1000, seed=0, restarts=1)
+        assert sse <= 1e-18
 
 
 def test_elbow_recovery():
@@ -118,7 +117,7 @@ def test_elbow_recovery():
             rng = np.random.default_rng(seed)
             centers = np.array([[0.0] * 8, [10.0] * 8, [-8.0] * 8])
             x = np.array([c + rng.normal(0, 0.5, 8) for c in centers for _ in range(30)])
-            curve = cluster.elbow_sweep(x, "f", list(range(1, 9)), seed=seed, restarts=3)
+            curve = cluster.elbow_sweep(x, list(range(1, 9)), seed=seed, restarts=3)
             successes += curve.recommended_k == 3
         assert successes >= 9, f"only {successes}/10 seeds recovered k=3"
 
@@ -160,10 +159,9 @@ def test_reconstruction_identity(run):
         cfg = WindowConfig(sample_period_s=1.0)
         feature = "transmission_oil_temperature"
         x = np.concatenate([windowing.slide_highlighted(t.features[feature], cfg) for t in trips])
-        cb = cluster.kmeans_fit(x, feature, len(x), seed=0, restarts=1, cfg=cfg)
+        cb = fit_codebook(x, len(x), cfg, restarts=1, feature=feature)
         for t in trips:
-            rec = reconstruct.reconstruct_series(t.features[feature], cb)
-            assert reconstruct.error_series(rec).max() <= 1e-9
+            assert reconstruct.error_series(t.features[feature], cb).max() <= 1e-9
 
 
 def test_detection_properties():

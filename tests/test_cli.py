@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from theftdetect.cli import (
     EXIT_DATA,
@@ -18,8 +18,8 @@ from theftdetect.cli import (
     EXIT_USAGE,
     build_parser,
     main,
-    window_labels,
 )
+from theftdetect.detect import windows_verdicts
 from theftdetect.synth import load_manifest
 
 
@@ -72,9 +72,15 @@ def test_train_uses_only_owner_training_trips(pipeline):
         t["trip_id"] for t in manifest["trips"]
         if t["role"] == "train" and t["driver_id"] == owner
     }
+    # 240 s trips make (240 - 32) // 16 + 1 = 14 windows each
+    segments = 14 * len(train_ids)
     for path in (pipeline / "models").glob("codebook_*.json"):
         doc = json.loads(path.read_text())
-        assert set(doc["training_meta"]["trip_ids"]) == train_ids
+        meta = doc["training_meta"]
+        assert set(meta["trip_ids"]) == train_ids
+        assert meta["segment_count"] == segments
+        assert meta["iterations"] >= 1
+        assert doc["seed"] == 11
 
 
 def test_train_rerun_byte_identical(pipeline, tmp_path):
@@ -265,12 +271,16 @@ def test_detect_short_or_permuted_trip(pipeline, rows, order):
             assert reports[0][0].read_bytes() == reports[1][0].read_bytes()
 
 
-@given(labels=st.lists(st.booleans(), max_size=200), dlen=st.integers(1, 40))
+@given(labels=st.lists(st.booleans(), min_size=1, max_size=200), dlen=st.integers(1, 40))
 def test_window_labels_match_per_window_majority(labels, dlen):
+    """evaluate's window label, a mean of 0/1 sample labels > 0.5, is a strict majority."""
+    assume(dlen <= len(labels))
     labels = np.array(labels, dtype=bool)
-    n = len(labels) // dlen
-    expected = [labels[s : s + dlen].sum() * 2 > dlen for s in range(0, n * dlen, dlen)]
-    np.testing.assert_array_equal(window_labels(labels, n, dlen), np.array(expected, dtype=bool))
+    expected = []
+    for s in range(0, len(labels) - dlen + 1, dlen):
+        theft = sum(1 for value in labels[s : s + dlen] if value)
+        expected.append(theft > dlen - theft)
+    np.testing.assert_array_equal(windows_verdicts(labels, dlen) > 0.5, np.array(expected, dtype=bool))
 
 
 def test_missing_data_dir_is_data_error(tmp_path):
@@ -513,6 +523,76 @@ def test_corrupt_label_file_is_data_error(pipeline, tmp_path, capsys, corrupt):
     assert run("evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out)) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda entry: entry.pop("labels"),
+    lambda entry: entry.pop("role"),
+    lambda entry: entry.update(file=3),
+    lambda entry: entry.clear() or entry.update(trip="x"),
+], ids=["no-labels", "no-role", "file-number", "no-keys"])
+def test_manifest_trip_entry_is_checked(pipeline, tmp_path, capsys, corrupt):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(pipeline / "corpus", corpus)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    index = next(i for i, t in enumerate(manifest["trips"]) if t["role"] == "val-owner")
+    corrupt(manifest["trips"][index])
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    assert run("evaluate", "--data", str(corpus), "--models", str(pipeline / "models"),
+               "--out", str(out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{corpus / 'manifest.json'}: trips[{index}]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_selection_reads_no_validation_trip(pipeline, tmp_path, command):
+    """An empty cell in a thief's validation trip leaves every selection decision as it was."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus)
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-thief")
+    path = corpus / entry["file"]
+    rows = list(csv.reader(path.read_text().splitlines()))
+    rows[5][rows[0].index("transmission_oil_temperature")] = ""
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    flags = ["--k", "10", "--restarts", "1"] if command == "train" else []
+    for data, models in ((pipeline / "corpus", tmp_path / "clean"), (corpus, tmp_path / "blank")):
+        assert run(command, "--data", str(data), "--out", str(models), *flags) == EXIT_OK
+    doc = json.loads((tmp_path / "blank" / "features.json").read_text())
+    assert "transmission_oil_temperature" in doc["essential"]
+    assert (tmp_path / "blank" / "features.json").read_bytes() == (
+        tmp_path / "clean" / "features.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", [
+    "report-not-a-report", "report-not-json", "report-not-utf8", "report-missing",
+    "config-not-utf8", "config-missing", "thresholds-not-utf8",
+])
+def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
+    """Each JSON file the CLI reads maps its own failures: a --config or thresholds.json
+    to a config error (exit 1), a --report to a data error (exit 2) naming the file."""
+    models, out, bad = tmp_path / "models", tmp_path / "out", tmp_path / "bad.json"
+    shutil.copytree(pipeline / "models", models)
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    detect = ["detect", "--models", str(models), "--out", str(out),
+              "--trip", str(pipeline / "corpus" / trip["file"])]
+    kind, problem = case.split("-", 1)
+    if problem != "missing":
+        bad.write_bytes({"not-a-report": (models / "features.json").read_bytes(),
+                         "not-json": b"{\"models\": ",
+                         "not-utf8": b"{\"k\": \"\xff\"}"}[problem])
+    if kind == "thresholds":
+        shutil.copy(bad, models / "thresholds.json")
+        bad, args, code = models / "thresholds.json", detect, EXIT_USAGE
+    elif kind == "config":
+        args, code = ["--config", str(bad), *detect], EXIT_USAGE
+    else:
+        args, code = ["report", "--out", str(out), "--report", str(bad)], EXIT_DATA
+    assert run(*args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == EXIT_USAGE else "data error:")
+    assert str(bad) in err
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_windows
+from conftest import fit_codebook, make_windows
 from theftdetect.cluster import (
     ClusterError,
     InfeasibleKError,
@@ -21,16 +21,16 @@ from theftdetect.windowing import WindowConfig
 def test_k1_centroid_is_mean():
     rng = np.random.default_rng(0)
     x = make_windows(rng, 50, 8)
-    cb = kmeans_fit(x, "f", 1, seed=0)
-    np.testing.assert_allclose(cb.centroids[0], x.mean(axis=0), atol=1e-12)
+    centroids, sse, _ = kmeans_fit(x, 1, seed=0)
+    np.testing.assert_allclose(centroids[0], x.mean(axis=0), atol=1e-12)
     expected_sse = float(((x - x.mean(axis=0)) ** 2).sum())
-    assert cb.sse == pytest.approx(expected_sse, rel=1e-12)
+    assert sse == pytest.approx(expected_sse, rel=1e-12)
 
 
 def test_k_equals_n_zero_sse():
     rng = np.random.default_rng(1)
-    cb = kmeans_fit(make_windows(rng, 20, 6), "f", 20, seed=0)
-    assert cb.sse <= 1e-18
+    _, sse, _ = kmeans_fit(make_windows(rng, 20, 6), 20, seed=0)
+    assert sse <= 1e-18
 
 
 def test_blobs_recovered():
@@ -42,9 +42,9 @@ def test_blobs_recovered():
             x.append(c + rng.normal(0, 0.3, 4))
             truth.append(label)
     x = np.array(x)
-    cb = kmeans_fit(x, "f", 3, seed=0)
+    centroids, _, _ = kmeans_fit(x, 3, seed=0)
     # brute-force nearest-mean labeling must match blob identity up to permutation
-    got = assign(x, cb)[0].tolist()
+    got = assign(x, centroids)[0].tolist()
     mapping = {}
     for g, t in zip(got, truth):
         mapping.setdefault(t, g)
@@ -55,36 +55,35 @@ def test_blobs_recovered():
 def test_assign_matches_brute_force():
     rng = np.random.default_rng(3)
     windows = make_windows(rng, 6, 10)
-    cb = kmeans_fit(make_windows(rng, 12, 10), "f", 5, seed=1)
-    labels, dists = assign(windows, cb)
+    centroids, _, _ = kmeans_fit(make_windows(rng, 12, 10), 5, seed=1)
+    labels, dists = assign(windows, centroids)
     for row, idx, dist in zip(windows, labels, dists):
-        brute = [float(np.linalg.norm(row - c)) for c in cb.centroids]
+        brute = [float(np.linalg.norm(row - c)) for c in centroids]
         assert idx == int(np.argmin(brute))
         assert dist == pytest.approx(min(brute), rel=1e-12)
 
 
 def test_assign_rejects_wrong_window_len():
     rng = np.random.default_rng(10)
-    cb = kmeans_fit(make_windows(rng, 12, 10), "f", 5, seed=1)
+    centroids, _, _ = kmeans_fit(make_windows(rng, 12, 10), 5, seed=1)
     with pytest.raises(ClusterError, match="window_len"):
-        assign(make_windows(rng, 3, 9), cb)
+        assign(make_windows(rng, 3, 9), centroids)
     with pytest.raises(ClusterError, match="window_len"):
-        assign(make_windows(rng, 1, 10)[0], cb)
+        assign(make_windows(rng, 1, 10)[0], centroids)
 
 
 def test_assign_exact_match_and_tie_break():
-    cfg = WindowConfig(sample_period_s=1.0, window_s=4.0, stride_s=2.0)
     x = np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0], [4.0, 0, 0, 0]])
-    cb = kmeans_fit(x, "f", 3, seed=0, cfg=cfg)
+    centroids, _, _ = kmeans_fit(x, 3, seed=0)
     # window equal to a centroid
-    (idx,), (dist,) = assign(x[1:2], cb)
+    (idx,), (dist,) = assign(x[1:2], centroids)
     assert dist == 0.0
-    assert np.allclose(cb.centroids[idx], x[1])
+    assert np.allclose(centroids[idx], x[1])
     # equidistant between two centroids: lowest index wins
     mid = np.array([1.0, 0, 0, 0])
-    (idx,), _ = assign(mid[None, :], cb)
+    (idx,), _ = assign(mid[None, :], centroids)
     candidates = [
-        i for i, c in enumerate(cb.centroids) if np.isclose(np.linalg.norm(mid - c), 1.0)
+        i for i, c in enumerate(centroids) if np.isclose(np.linalg.norm(mid - c), 1.0)
     ]
     assert idx == min(candidates)
 
@@ -92,9 +91,9 @@ def test_assign_exact_match_and_tie_break():
 def test_infeasible_k():
     rng = np.random.default_rng(4)
     with pytest.raises(InfeasibleKError):
-        kmeans_fit(make_windows(rng, 5, 4), "f", 6, seed=0)
+        kmeans_fit(make_windows(rng, 5, 4), 6, seed=0)
     with pytest.raises(InfeasibleKError):
-        kmeans_fit(np.ones((5, 4)), "f", 2, seed=0)
+        kmeans_fit(np.ones((5, 4)), 2, seed=0)
 
 
 def training_meta(cb):
@@ -103,27 +102,26 @@ def training_meta(cb):
 
 def test_non_strict_k_capped_at_distinct_rows():
     x = np.repeat(np.eye(4), 3, axis=0)  # 12 rows, 4 distinct
-    cb = kmeans_fit(x, "f", 10, seed=0, strict_k=False)
-    assert cb.k == 4
-    assert cb.sse == 0.0
-    assert cb.segment_count == 12
+    centroids, sse, iterations = kmeans_fit(x, 10, seed=0, strict_k=False)
+    assert centroids.shape == (4, 4)
+    assert sse == 0.0
+    assert iterations >= 1
 
 
 def test_rejects_empty_or_non_matrix_input():
     with pytest.raises(ClusterError):
-        kmeans_fit(np.empty((0, 4)), "f", 1, seed=0)
+        kmeans_fit(np.empty((0, 4)), 1, seed=0)
     with pytest.raises(ClusterError):
-        kmeans_fit(np.ones(4), "f", 1, seed=0)
+        kmeans_fit(np.ones(4), 1, seed=0)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
     x = make_windows(rng, 40, 8)
-    a = kmeans_fit(x, "f", 7, seed=123)
-    b = kmeans_fit(x, "f", 7, seed=123)
-    np.testing.assert_array_equal(a.centroids, b.centroids)
-    assert a.sse == b.sse
-    assert training_meta(a) == training_meta(b)
+    a_centroids, a_sse, a_iterations = kmeans_fit(x, 7, seed=123)
+    b_centroids, b_sse, b_iterations = kmeans_fit(x, 7, seed=123)
+    np.testing.assert_array_equal(a_centroids, b_centroids)
+    assert (a_sse, a_iterations) == (b_sse, b_iterations)
 
 
 def test_lloyd_sse_non_increasing_and_converged_invariants():
@@ -147,7 +145,7 @@ def test_elbow_recommends_true_cluster_count():
     rng = np.random.default_rng(7)
     centers = np.array([[0.0] * 6, [12.0] * 6, [-10.0] * 6])
     x = np.array([c + rng.normal(0, 0.4, 6) for c in centers for _ in range(20)])
-    curve = elbow_sweep(x, "f", list(range(1, 9)), seed=0, restarts=3)
+    curve = elbow_sweep(x, list(range(1, 9)), seed=0, restarts=3)
     assert curve.recommended_k == 3
     ks = [k for k, _ in curve.points]
     assert ks == sorted(ks)
@@ -155,7 +153,7 @@ def test_elbow_recommends_true_cluster_count():
 
 def test_elbow_k_equals_n_point():
     rng = np.random.default_rng(8)
-    curve = elbow_sweep(make_windows(rng, 10, 4), "f", [10], seed=0, restarts=2)
+    curve = elbow_sweep(make_windows(rng, 10, 4), [10], seed=0, restarts=2)
     assert curve.points[0][1] <= 1e-18
 
 
@@ -167,7 +165,7 @@ def test_knee_index_toy():
 def test_codebook_json_round_trip_bit_faithful(tmp_path):
     rng = np.random.default_rng(9)
     cfg = WindowConfig(sample_period_s=1.0, window_s=8.0, stride_s=4.0)
-    cb = kmeans_fit(make_windows(rng, 15, 8), "speed", 4, seed=2, cfg=cfg, trip_ids=("t1", "t2"))
+    cb = fit_codebook(make_windows(rng, 15, 8), 4, cfg, seed=2, feature="speed", trip_ids=("t1", "t2"))
     path = tmp_path / "cb.json"
     save_codebook(cb, path)
     loaded = load_codebook(path)
