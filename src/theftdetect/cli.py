@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 usage/config, 2 data error, 3 infeasible model.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -63,21 +62,10 @@ _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
 _JSON_TYPES = {"str": str, "float": (int, float), "int": int, "int | None": (int, type(None))}
 
 
-def read_json(path: str | Path, error: type[Exception]):
-    """The JSON document at ``path``; a file that cannot be read or decoded raises
-    ``error`` naming it."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from None
-
-
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path:
-        doc = read_json(path, ConfigError)
+        doc = ingest.read_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - _CONFIG_FIELDS
@@ -129,9 +117,7 @@ def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
         ],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "features.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    ingest.write_json(doc, out_dir / "features.json")
     return essential
 
 
@@ -212,7 +198,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        doc = read_json(features_file, ingest.IngestError)
+        doc = ingest.read_json(features_file, ingest.IngestError)
         essential = doc.get("essential") if isinstance(doc, dict) else None
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
@@ -260,7 +246,7 @@ def load_thresholds(models_dir: str | Path, features: list[str]) -> dict[str, fl
     path = Path(models_dir) / "thresholds.json"
     if not path.exists():
         raise ConfigError(f"no thresholds in {models_dir}: run `evaluate` first")
-    thresholds = read_json(path, ConfigError)
+    thresholds = ingest.read_json(path, ConfigError)
     if not isinstance(thresholds, dict):
         raise ConfigError(f"{path} must hold a JSON object, got {type(thresholds).__name__}")
     for feature in features:
@@ -298,7 +284,7 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"detection_{trip.trip_id}.json"
-    detect.write_detection_report(report, path)
+    ingest.write_json(report, path)
     print(f"wrote {path} ({int(flagged.sum())} theft windows)")
     return EXIT_OK
 
@@ -367,10 +353,8 @@ def cmd_evaluate(cfg: RunConfig, models_dir: str) -> int:
     report, curves = evaluate(cfg, models_dir)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    detect.write_detection_report(report, out_dir / "report.json")
-    (Path(models_dir) / "thresholds.json").write_text(
-        json.dumps(report["thresholds"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    ingest.write_json(report, out_dir / "report.json")
+    ingest.write_json(report["thresholds"], Path(models_dir) / "thresholds.json")
     for feature, curve in curves.items():
         detect.write_roc_csv(curve, out_dir / f"roc_{feature}.csv")
     (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
@@ -407,7 +391,7 @@ def render_markdown(report: dict) -> str:
 
 
 def cmd_report(cfg: RunConfig, report_path: str) -> int:
-    report = read_json(report_path, detect.DetectError)
+    report = ingest.read_json(report_path, detect.DetectError)
     rows = ["model,feature,threshold,accuracy,precision,recall,f1"]
     try:
         markdown = render_markdown(report)
@@ -512,7 +496,6 @@ def main(argv: list[str] | None = None) -> int:
         windowing.WindowError,
         detect.DetectError,
         cluster.ClusterError,
-        FileNotFoundError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

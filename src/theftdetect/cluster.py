@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import read_json
 from .windowing import WindowConfig
 
 CODEBOOK_FORMAT_VERSION = 1
@@ -248,26 +249,27 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 
 def load_codebook(path: str | Path) -> Codebook:
     """A codebook written by ``save_codebook``; a file that is not JSON, a missing key,
-    a filter other than hann, a k that is not a positive int or a non-finite number
-    is rejected."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ClusterError(f"{path} is not valid JSON: {exc}") from None
+    a feature other than the one the file is named after (``codebook_<feature>.json``),
+    trip ids that are not a list of strings, a filter other than hann, a k that is
+    not a positive int or a non-finite number is rejected."""
+    doc = read_json(path, ClusterError)
     if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
         raise ClusterError(f"{path}: unsupported codebook format")
     missing = [key for key in _CODEBOOK_KEYS if key not in doc]
     if missing:
         raise ClusterError(f"{path} lacks keys {missing}")
-    k, sse, meta = doc["k"], doc["sse"], doc["training_meta"]
+    feature, k, sse, meta = doc["feature"], doc["k"], doc["sse"], doc["training_meta"]
+    if not isinstance(feature, str) or Path(path).name != f"codebook_{feature}.json":
+        raise ClusterError(f"{path}: feature {feature!r} does not match the file name")
     if doc["filter_name"] != "hann":
         raise ClusterError(f"{path}: unsupported filter {doc['filter_name']!r}")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ClusterError(f"{path}: k must be a positive int, got {k!r}")
     if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
         raise ClusterError(f"{path}: sse must be a finite number, got {sse!r}")
-    if not isinstance(meta, dict):
-        raise ClusterError(f"{path}: training_meta must be an object")
+    trip_ids = meta.get("trip_ids", []) if isinstance(meta, dict) else None
+    if not isinstance(trip_ids, list) or not all(isinstance(t, str) for t in trip_ids):
+        raise ClusterError(f"{path}: training_meta must be an object whose trip_ids are strings")
     try:
         cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
         centroids = np.array(doc["centroids"], dtype=float)
@@ -276,14 +278,14 @@ def load_codebook(path: str | Path) -> Codebook:
     if not np.isfinite(centroids).all():
         raise ClusterError(f"{path} has non-finite centroid values")
     if cfg.window_len != doc["window_len"] or cfg.stride_len != doc["stride_len"]:
-        raise ClusterError("stored window/stride lengths disagree with config")
+        raise ClusterError(f"{path}: stored window/stride lengths disagree with config")
     return Codebook(
-        feature=doc["feature"],
+        feature=feature,
         k=k,
         centroids=centroids,
         sse=sse,
         cfg=cfg,
-        trip_ids=tuple(meta.get("trip_ids", ())),
+        trip_ids=tuple(trip_ids),
         segment_count=meta.get("segment_count", 0),
         iterations=meta.get("iterations", 0),
         seed=doc["seed"],

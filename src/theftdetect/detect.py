@@ -11,7 +11,6 @@ by a strict majority vote.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,7 +119,3 @@ def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
     rows = zip(curve.thresholds.tolist(), curve.tpr.tolist(), curve.fpr.tolist())
     lines = ["threshold,tpr,fpr"] + [f"{t!r},{tpr!r},{fpr!r}" for t, tpr, fpr in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_detection_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,14 +1,18 @@
-"""Trip CSV ingestion and feature selection.
+"""File reading and writing, trip CSV ingestion and feature selection.
 
-Trips arrive as CSV files (header row of feature names, one numeric row per
-sample). Per-driver summary statistics drive three rejection rules (missing
-values, invariance at zero, cross-driver indifference) followed by a
-cross-driver separation score that picks the essential features.
+``read_text`` and ``read_json`` read every input file, as UTF-8, and raise the
+caller's error naming a file that cannot be read or decoded; ``write_json``
+writes every JSON output but the codebooks. Trips are CSV files (header row of
+feature names, one numeric row per sample). Per-driver summary statistics drive
+three rejection rules (missing values, invariance at zero, cross-driver
+indifference) followed by a separation score that picks the essential features.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +78,31 @@ class TripLog:
         return list(self.features)
 
 
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``, newlines as stored; a file that cannot be read
+    or decoded raises ``error`` naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON document at ``path``; a file that ``read_text`` rejects or that is
+    not JSON raises ``error`` naming it."""
+    try:
+        return json.loads(read_text(path, error))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_json(doc, path: str | Path) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _infer_ids(path: Path) -> tuple[str, str]:
     stem = path.stem
     driver = stem.split("_", 1)[0] if "_" in stem else stem
@@ -94,13 +123,11 @@ def parse_trip(
     """
     path = Path(path)
     inferred_trip, inferred_driver = _infer_ids(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    reader = csv.reader(io.StringIO(read_text(path, ParseError), newline=""))
+    try:
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise ParseError(f"{path}: no header row of feature names")
         if len(set(header)) != len(header):
             raise ParseError(f"{path}: duplicate feature names in header")
         columns: list[list[float]] = [[] for _ in header]
@@ -120,6 +147,8 @@ def parse_trip(
                         col.append(float(cell))
                     except ValueError:
                         raise ParseError(f"{path}: line {lineno} non-numeric cell {cell!r}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise EmptyTripError(f"{path}: no data rows")
 

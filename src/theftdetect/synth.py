@@ -14,14 +14,13 @@ per-trip ground-truth label CSVs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import TripLog
+from .ingest import TripLog, read_json, read_text, write_json
 from .windowing import DETECTION_WINDOW_S, _round_half_up
 
 
@@ -122,16 +121,12 @@ class CorpusConfig:
 
 
 def _write_trip_csv(trip: TripLog, path: Path) -> None:
+    columns = [("" if math.isnan(v) else repr(v) for v in values.tolist())
+               for values in trip.features.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        names = trip.feature_names
-        writer.writerow(names)
-        for i in range(trip.length):
-            row = []
-            for name in names:
-                v = trip.features[name][i]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        writer.writerow(trip.feature_names)
+        writer.writerows(zip(*columns))
 
 
 def _write_labels_csv(labels: np.ndarray, path: Path) -> None:
@@ -198,9 +193,7 @@ def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict
         "duration_s": cfg.duration_s,
         "trips": entries,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, outdir / "manifest.json")
     return manifest
 
 
@@ -212,12 +205,7 @@ def load_manifest(corpus_dir: str | Path) -> dict:
     """The corpus manifest; it must name the owner, the trips and the sample period,
     and each trip entry must give its ``_TRIP_KEYS`` as strings."""
     path = Path(corpus_dir) / "manifest.json"
-    if not path.exists():
-        raise SynthError(f"no manifest.json in {corpus_dir}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SynthError(f"{path} is not valid JSON: {exc}") from None
+    manifest = read_json(path, SynthError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("owner"), str):
         raise SynthError(f"{path} names no owner")
     if not isinstance(manifest.get("trips"), list):
@@ -234,7 +222,7 @@ def load_manifest(corpus_dir: str | Path) -> dict:
 def load_labels(corpus_dir: str | Path, label_file: str) -> np.ndarray:
     """Per-sample ground truth (True = theft) from a ``label`` header and one 0 or 1 a line."""
     path = Path(corpus_dir) / label_file
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").strip().splitlines()[1:]]
+    lines = [line.strip() for line in read_text(path, SynthError).strip().splitlines()[1:]]
     bad = set(lines) - {"0", "1"}
     if bad:
         raise SynthError(f"{path}: labels must be 0 or 1, got {sorted(bad)[:3]}")

@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from theftdetect.cluster import DEFAULT_RESTARTS, Codebook, kmeans_fit
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a red
+# CI run reproduces with the same command; without the flag examples stay random
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def make_windows(rng: np.random.Generator, n: int, length: int) -> np.ndarray:

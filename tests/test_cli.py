@@ -566,7 +566,7 @@ def test_selection_reads_no_validation_trip(pipeline, tmp_path, command):
 
 
 @pytest.mark.parametrize("case", [
-    "report-not-a-report", "report-not-json", "report-not-utf8", "report-missing",
+    "report-not-a-report", "report-not-json", "report-not-utf8", "report-too-deep", "report-missing",
     "config-not-utf8", "config-missing", "thresholds-not-utf8",
 ])
 def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
@@ -581,7 +581,8 @@ def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
     if problem != "missing":
         bad.write_bytes({"not-a-report": (models / "features.json").read_bytes(),
                          "not-json": b"{\"models\": ",
-                         "not-utf8": b"{\"k\": \"\xff\"}"}[problem])
+                         "not-utf8": b"{\"k\": \"\xff\"}",
+                         "too-deep": b"[" * 100_000}[problem])
     if kind == "thresholds":
         shutil.copy(bad, models / "thresholds.json")
         bad, args, code = models / "thresholds.json", detect, EXIT_USAGE
@@ -593,6 +594,54 @@ def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == EXIT_USAGE else "data error:")
     assert str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    "trip-directory", "trip-not-utf8", "trip-missing", "labels-not-utf8", "labels-directory",
+])
+def test_unreadable_input_file_is_data_error(pipeline, tmp_path, capsys, case):
+    """A trip or label file that cannot be read or is not UTF-8 exits 2 naming it,
+    and nothing is written."""
+    corpus, models, out = tmp_path / "corpus", tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "corpus", corpus)
+    shutil.copytree(pipeline / "models", models)
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    kind, problem = case.split("-", 1)
+    path = corpus / entry["file" if kind == "trip" else "labels"]
+    if problem == "not-utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    else:
+        path.unlink()
+        if problem == "directory":
+            path.mkdir()
+    before = {p.name: p.read_bytes() for p in models.iterdir()}
+    args = (["detect", "--models", str(models), "--out", str(out), "--trip", str(path)] if kind == "trip"
+            else ["evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out)])
+    assert run(*args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert not out.exists()
+    assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc, other: other,
+    lambda doc, other: {**doc, "feature": [doc["feature"]]},
+    lambda doc, other: {**doc, "training_meta": {**doc["training_meta"], "trip_ids": 3}},
+], ids=["other-model-copied-over", "feature-list", "trip-ids-int"])
+def test_codebook_must_match_its_file_name(pipeline, tmp_path, capsys, corrupt):
+    """A codebook whose feature is not the one its file is named after, or whose trip
+    ids are not strings, exits 2 naming the file instead of dropping or crashing a model."""
+    models, out = tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "models", models)
+    other, path = sorted(models.glob("codebook_*.json"))[:2]
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()), json.loads(other.read_text()))))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    assert run("detect", "--models", str(models), "--out", str(out),
+               "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
     assert not out.exists()
 
 

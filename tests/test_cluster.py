@@ -166,7 +166,7 @@ def test_codebook_json_round_trip_bit_faithful(tmp_path):
     rng = np.random.default_rng(9)
     cfg = WindowConfig(sample_period_s=1.0, window_s=8.0, stride_s=4.0)
     cb = fit_codebook(make_windows(rng, 15, 8), 4, cfg, seed=2, feature="speed", trip_ids=("t1", "t2"))
-    path = tmp_path / "cb.json"
+    path = tmp_path / "codebook_speed.json"
     save_codebook(cb, path)
     loaded = load_codebook(path)
     np.testing.assert_array_equal(loaded.centroids, cb.centroids)

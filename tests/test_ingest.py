@@ -1,7 +1,11 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from theftdetect.ingest import (
     ESSENTIAL_TARGET,
@@ -15,6 +19,7 @@ from theftdetect.ingest import (
     parse_trip,
     select_essential,
 )
+from theftdetect.synth import SynthError, load_labels
 
 
 def write_csv(tmp_path, name, text):
@@ -64,6 +69,40 @@ def test_parse_timestamp_checked_and_dropped(tmp_path):
 def test_parse_crlf(tmp_path):
     path = write_csv(tmp_path, "A_t1.csv", "speed,rpm\r\n1,10\r\n2,20\r\n")
     assert parse_trip(path, 1.0).length == 2
+
+
+def test_parse_oversize_cell_is_parse_error(tmp_path):
+    path = write_csv(tmp_path, "A_t1.csv", "speed\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+        parse_trip(path, 1.0)
+    assert str(path) in str(excinfo.value)
+
+
+# bytes a trip or label file is made of, plus a few that break decoding or parsing
+CSV_LIKE = st.lists(st.sampled_from([
+    b"0", b"1", b"2.5", b"-", b"e", b"nan", b"inf", b",", b" ", b"\n", b"\r", b'"',
+    b"x", b"speed", b"timestamp", b"label", b"\x00", b"\xff", b"\xc3",
+]), max_size=60).map(b"".join)
+
+
+@settings(deadline=None)
+@given(data=st.one_of(st.binary(), CSV_LIKE))
+@example(data=b"\n").via("blank header line")
+@example(data=b"speed\n1\n\xff\n").via("non-UTF-8 byte")
+def test_file_readers_fail_closed_on_any_bytes(data):
+    """A trip CSV either parses or raises an IngestError; a label file either loads
+    or raises a SynthError. No other exception escapes either reader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "A_t1.csv"
+        path.write_bytes(data)
+        try:
+            assert isinstance(parse_trip(path, 1.0), TripLog)
+        except IngestError as exc:
+            assert str(path) in str(exc)
+        try:
+            assert load_labels(tmp, path.name).dtype == bool
+        except SynthError as exc:
+            assert str(path) in str(exc)
 
 
 def trip(driver, trip_id, **features):
