@@ -18,8 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
+from . import ConfigError, DataError, InfeasibleKError
 from . import cluster, detect, ingest, reconstruct, synth, windowing
-from .cluster import Codebook, InfeasibleKError
+from .cluster import Codebook
 from .ingest import TripLog
 from .windowing import WindowConfig
 
@@ -27,10 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,6 @@ def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
             for feature, reason in reasons.items()
         ],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_json(doc, out_dir / "features.json")
     return essential
 
@@ -124,21 +120,23 @@ def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
 def train_codebooks(
     owner_trips: list[TripLog], essential: list[str], cfg: RunConfig
 ) -> dict[str, Codebook]:
-    """One codebook per essential feature, windowed at the trips' sample period."""
+    """One codebook per essential feature, windowed at the trips' sample period; a
+    non-finite sample, or windows too wide to cluster, is a data error naming the feature."""
     wcfg = WindowConfig(owner_trips[0].sample_period_s, cfg.window_s, cfg.stride_s)
     books: dict[str, Codebook] = {}
     trip_ids = tuple(t.trip_id for t in owner_trips)
     for feature in essential:
+        if bad := [t.trip_id for t in owner_trips if not np.isfinite(t.features[feature]).all()]:
+            raise DataError(f"owner training trip {bad[0]} has non-finite {feature!r} samples")
         windows = np.concatenate(
             [windowing.slide_highlighted(trip.features[feature], wcfg) for trip in owner_trips]
         )
-        centroids, sse, iterations = cluster.kmeans_fit(
-            windows,
-            cluster.DEFAULT_K if cfg.k is None else cfg.k,
-            cfg.seed,
-            restarts=cfg.restarts,
-            strict_k=cfg.k is not None,
-        )
+        try:
+            centroids, sse, iterations = cluster.kmeans_fit(windows, cfg.k, cfg.seed, cfg.restarts)
+        except InfeasibleKError:
+            raise
+        except DataError as exc:
+            raise DataError(f"feature {feature!r}: {exc}") from None
         books[feature] = Codebook(
             feature=feature, k=len(centroids), centroids=centroids, sse=sse, cfg=wcfg,
             trip_ids=trip_ids, segment_count=len(windows), iterations=iterations, seed=cfg.seed,
@@ -155,7 +153,7 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
     """
     wcfg = next(iter(books.values())).cfg  # load_models makes every book's cfg the same
     if trip.sample_period_s != wcfg.sample_period_s:
-        raise ingest.IngestError(
+        raise DataError(
             f"trip {trip.trip_id} is sampled every {trip.sample_period_s} s, "
             f"but the codebooks every {wcfg.sample_period_s} s"
         )
@@ -163,9 +161,9 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
     for feature, cb in books.items():
         series = trip.features.get(feature)
         if series is None:
-            raise ingest.IngestError(f"trip {trip.trip_id} lacks feature {feature!r}")
+            raise DataError(f"trip {trip.trip_id} lacks feature {feature!r}")
         if not np.isfinite(series).all():
-            raise ingest.IngestError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
+            raise DataError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
         rows.append(detect.windows_verdicts(reconstruct.error_series(series, cb), wcfg.detection_len))
     return np.stack(rows)
 
@@ -198,7 +196,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        doc = ingest.read_json(features_file, ingest.IngestError)
+        doc = ingest.read_json(features_file, DataError)
         essential = doc.get("essential") if isinstance(doc, dict) else None
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
@@ -208,12 +206,12 @@ def cmd_train(cfg: RunConfig) -> int:
     owner = manifest["owner"]
     owner_trips = [t for e, t in corpus if e["role"] == "train" and e["driver_id"] == owner]
     if not owner_trips:
-        raise ingest.IngestError(f"no training trips for owner {owner!r} in {cfg.data_dir}")
+        raise DataError(f"no training trips for owner {owner!r} in {cfg.data_dir}")
     if not (isinstance(essential, list) and essential and all(isinstance(f, str) for f in essential)):
-        raise ingest.IngestError(f"{features_file}: 'essential' must be a non-empty list of feature names")
+        raise DataError(f"{features_file}: 'essential' must be a non-empty list of feature names")
     absent = [f for f in essential if any(f not in t.features for t in owner_trips)]
     if absent:
-        raise ingest.IngestError(f"{features_file}: owner training trips lack essential features {absent}")
+        raise DataError(f"{features_file}: owner training trips lack essential features {absent}")
     if len(essential) < ingest.ESSENTIAL_TARGET:
         print(
             f"warning: only {len(essential)} essential features survived selection",
@@ -234,9 +232,9 @@ def load_models(models_dir: str | Path) -> dict[str, Codebook]:
         cb = cluster.load_codebook(path)
         books[cb.feature] = cb
     if not books:
-        raise ingest.IngestError(f"no codebooks found in {models_dir}")
+        raise DataError(f"no codebooks found in {models_dir}")
     if len({cb.cfg for cb in books.values()}) > 1:
-        raise cluster.ClusterError(f"codebooks in {models_dir} disagree on their window config")
+        raise DataError(f"codebooks in {models_dir} disagree on their window config")
     return books
 
 
@@ -281,9 +279,7 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
                 for s, e, t in zip(starts, model_errors, model_theft)
             ],
         }
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"detection_{trip.trip_id}.json"
+    path = Path(cfg.out_dir) / f"detection_{trip.trip_id}.json"
     ingest.write_json(report, path)
     print(f"wrote {path} ({int(flagged.sum())} theft windows)")
     return EXIT_OK
@@ -298,7 +294,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     # splice trips are a localization demo, not part of the 8:2 validation split
     manifest, val = load_corpus_trips(cfg.data_dir, roles={"val-owner", "val-thief"})
     if not val:
-        raise ingest.IngestError(f"no validation trips in {cfg.data_dir}")
+        raise DataError(f"no validation trips in {cfg.data_dir}")
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
@@ -308,7 +304,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
         trip_errors.append(trip_model_verdicts(trip, books))
         sample_labels = synth.load_labels(cfg.data_dir, entry["labels"])
         if len(sample_labels) != trip.length:
-            raise synth.SynthError(
+            raise DataError(
                 f"{Path(cfg.data_dir) / entry['labels']} has {len(sample_labels)} labels "
                 f"for the {trip.length} samples of trip {trip.trip_id}"
             )
@@ -352,12 +348,12 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
 def cmd_evaluate(cfg: RunConfig, models_dir: str) -> int:
     report, curves = evaluate(cfg, models_dir)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_json(report, out_dir / "report.json")
     ingest.write_json(report["thresholds"], Path(models_dir) / "thresholds.json")
-    for feature, curve in curves.items():
-        detect.write_roc_csv(curve, out_dir / f"roc_{feature}.csv")
-    (out_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
+    tables = [(f"roc_{feature}.csv", detect.roc_csv(curve)) for feature, curve in curves.items()]
+    for name, text in tables + [("report.md", render_markdown(report))]:
+        with ingest.write_file(out_dir / name) as fh:
+            fh.write(text)
     for _, feature, threshold, m in report_rows(report):
         head = "ensemble:" if threshold is None else f"{feature}: threshold={threshold:.6g}"
         print(
@@ -391,7 +387,7 @@ def render_markdown(report: dict) -> str:
 
 
 def cmd_report(cfg: RunConfig, report_path: str) -> int:
-    report = ingest.read_json(report_path, detect.DetectError)
+    report = ingest.read_json(report_path, DataError)
     rows = ["model,feature,threshold,accuracy,precision,recall,f1"]
     try:
         markdown = render_markdown(report)
@@ -403,11 +399,11 @@ def cmd_report(cfg: RunConfig, report_path: str) -> int:
                 f"{m['precision']},{m['recall']},{m['f1']}"
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise detect.DetectError(f"{report_path} is not an evaluate report: {exc!r}") from None
+        raise DataError(f"{report_path} is not an evaluate report: {exc!r}") from None
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.md").write_text(markdown, encoding="utf-8")
-    (out_dir / "report.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for name, text in (("report.md", markdown), ("report.csv", "\n".join(rows) + "\n")):
+        with ingest.write_file(out_dir / name) as fh:
+            fh.write(text)
     print(f"wrote {out_dir / 'report.md'} and {out_dir / 'report.csv'}")
     return EXIT_OK
 
@@ -481,22 +477,14 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_detect(cfg, args.trip, args.models)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.models)
-        if args.command == "report":
-            return cmd_report(cfg, args.report_path)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_report(cfg, args.report_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleKError as exc:
         print(f"infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (
-        ingest.IngestError,
-        synth.SynthError,
-        windowing.WindowError,
-        detect.DetectError,
-        cluster.ClusterError,
-    ) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

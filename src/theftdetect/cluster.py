@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import read_json
+from . import DataError, InfeasibleKError
+from .ingest import read_json, write_file
 from .windowing import WindowConfig
 
 CODEBOOK_FORMAT_VERSION = 1
@@ -39,14 +40,6 @@ _CODEBOOK_KEYS = (
 ASSIGN_CHUNK = 16
 
 
-class ClusterError(Exception):
-    pass
-
-
-class InfeasibleKError(ClusterError):
-    """k exceeds the number of (distinct) training segments."""
-
-
 @dataclass(frozen=True)
 class Codebook:
     """Trained centroids representing one feature's trusted driving patterns."""
@@ -63,12 +56,12 @@ class Codebook:
 
     def __post_init__(self) -> None:
         if self.centroids.shape != (self.k, self.cfg.window_len):
-            raise ClusterError(
+            raise DataError(
                 f"centroid array {self.centroids.shape} does not match "
                 f"(k={self.k}, window_len={self.cfg.window_len})"
             )
         if self.sse < 0:
-            raise ClusterError("sse must be nonnegative")
+            raise DataError("sse must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -145,25 +138,27 @@ def lloyd(
 
 
 def kmeans_fit(
-    x: np.ndarray,
-    k: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-    strict_k: bool = True,
+    x: np.ndarray, k: int | None, seed: int, restarts: int = DEFAULT_RESTARTS
 ) -> tuple[np.ndarray, float, int]:
     """``(centroids, sse, iterations)`` of the best k-means restart over the rows of ``x``.
 
-    Deterministic given the seed. Unless ``strict_k``, k is capped at the
-    number of distinct rows instead of being rejected.
+    Deterministic given the seed. A ``k`` of None is ``DEFAULT_K`` capped at
+    the number of distinct rows; any other k beyond it is rejected. So is a
+    matrix whose row count times squared bounding-box diameter, a bound on
+    every sum of squared distances k-means computes, is not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not len(x):
-        raise ClusterError(f"expected a non-empty (n_windows, window_len) matrix, got shape {x.shape}")
+        raise DataError(f"expected a non-empty (n_windows, window_len) matrix, got shape {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = len(x) * np.sum(np.ptp(x, axis=0) ** 2)
+    if not np.isfinite(bound):
+        raise DataError("window values are not finite or span too wide a range for squared distances")
+    distinct = len(np.unique(x, axis=0))
+    if k is None:
+        k = min(DEFAULT_K, distinct)
     if k < 1:
         raise InfeasibleKError("k must be positive")
-    distinct = len(np.unique(x, axis=0))
-    if not strict_k:
-        k = min(k, distinct)
     if k > len(x):
         raise InfeasibleKError(f"k={k} exceeds segment count {len(x)}")
     if k > distinct:
@@ -203,7 +198,7 @@ def elbow_sweep(
 ) -> ElbowCurve:
     """SSE per k with knee-point recommendation."""
     if list(k_values) != sorted(set(k_values)):
-        raise ClusterError("k_values must be strictly increasing")
+        raise DataError("k_values must be strictly increasing")
     points = [(k, kmeans_fit(x, k, seed, restarts=restarts)[1]) for k in k_values]
     return ElbowCurve(points=tuple(points), recommended_k=points[knee_index(points)][0])
 
@@ -211,7 +206,7 @@ def elbow_sweep(
 def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid index and Euclidean distance per window row; ties break low."""
     if windows.ndim != 2 or windows.shape[1] != centroids.shape[1]:
-        raise ClusterError(
+        raise DataError(
             f"window matrix of shape {windows.shape} does not match "
             f"centroid window_len {centroids.shape[1]}"
         )
@@ -244,7 +239,8 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
             "iterations": cb.iterations,
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with write_file(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_codebook(path: str | Path) -> Codebook:
@@ -252,33 +248,33 @@ def load_codebook(path: str | Path) -> Codebook:
     a feature other than the one the file is named after (``codebook_<feature>.json``),
     trip ids that are not a list of strings, a filter other than hann, a k that is
     not a positive int or a non-finite number is rejected."""
-    doc = read_json(path, ClusterError)
+    doc = read_json(path, DataError)
     if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
-        raise ClusterError(f"{path}: unsupported codebook format")
+        raise DataError(f"{path}: unsupported codebook format")
     missing = [key for key in _CODEBOOK_KEYS if key not in doc]
     if missing:
-        raise ClusterError(f"{path} lacks keys {missing}")
+        raise DataError(f"{path} lacks keys {missing}")
     feature, k, sse, meta = doc["feature"], doc["k"], doc["sse"], doc["training_meta"]
     if not isinstance(feature, str) or Path(path).name != f"codebook_{feature}.json":
-        raise ClusterError(f"{path}: feature {feature!r} does not match the file name")
+        raise DataError(f"{path}: feature {feature!r} does not match the file name")
     if doc["filter_name"] != "hann":
-        raise ClusterError(f"{path}: unsupported filter {doc['filter_name']!r}")
+        raise DataError(f"{path}: unsupported filter {doc['filter_name']!r}")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ClusterError(f"{path}: k must be a positive int, got {k!r}")
+        raise DataError(f"{path}: k must be a positive int, got {k!r}")
     if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
-        raise ClusterError(f"{path}: sse must be a finite number, got {sse!r}")
+        raise DataError(f"{path}: sse must be a finite number, got {sse!r}")
     trip_ids = meta.get("trip_ids", []) if isinstance(meta, dict) else None
     if not isinstance(trip_ids, list) or not all(isinstance(t, str) for t in trip_ids):
-        raise ClusterError(f"{path}: training_meta must be an object whose trip_ids are strings")
+        raise DataError(f"{path}: training_meta must be an object whose trip_ids are strings")
     try:
         cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
         centroids = np.array(doc["centroids"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ClusterError(f"{path}: malformed codebook: {exc}") from exc
+        raise DataError(f"{path}: malformed codebook: {exc}") from exc
     if not np.isfinite(centroids).all():
-        raise ClusterError(f"{path} has non-finite centroid values")
+        raise DataError(f"{path} has non-finite centroid values")
     if cfg.window_len != doc["window_len"] or cfg.stride_len != doc["stride_len"]:
-        raise ClusterError(f"{path}: stored window/stride lengths disagree with config")
+        raise DataError(f"{path}: stored window/stride lengths disagree with config")
     return Codebook(
         feature=feature,
         k=k,

@@ -12,17 +12,10 @@ by a strict majority vote.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-
-class DetectError(Exception):
-    pass
-
-
-class DegenerateLabelsError(DetectError):
-    """ROC sweep needs both owner and theft labels present."""
+from . import DataError
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,7 @@ def windows_verdicts(errors: np.ndarray, detection_len: int) -> np.ndarray:
     A window is theft iff its mean error > the model threshold.
     """
     if not 1 <= detection_len <= len(errors):
-        raise DetectError(
+        raise DataError(
             f"detection window of {detection_len} samples must be in [1, {len(errors)}], "
             "the length of the error series"
         )
@@ -54,7 +47,7 @@ def ensemble_vote(theft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     theft = np.asarray(theft, dtype=bool)
     if theft.ndim != 2 or len(theft) == 0:
-        raise DetectError(f"ensemble expects a (models, windows) matrix, got shape {theft.shape}")
+        raise DataError(f"ensemble expects a (models, windows) matrix, got shape {theft.shape}")
     votes = theft.sum(axis=0)
     return votes, votes * 2 > len(theft)
 
@@ -63,7 +56,7 @@ def threshold_grid(errors: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive unique errors plus sentinels at the ends."""
     unique = np.unique(errors)
     if not unique.size:
-        raise DetectError("no errors to grid")
+        raise DataError("no errors to grid")
     span = (unique[-1] - unique[0]) or 1.0
     mids = (unique[:-1] + unique[1:]) / 2
     return np.concatenate([[unique[0] - 0.5 * span], mids, [unique[-1] + 0.5 * span]])
@@ -77,11 +70,11 @@ def roc_sweep(errors: np.ndarray, labels: np.ndarray, thresholds: np.ndarray) ->
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds[1:] < thresholds[:-1]):
-        raise DetectError("thresholds must be sorted")
+        raise DataError("thresholds must be sorted")
     errors, labels = np.asarray(errors, dtype=float), np.asarray(labels, dtype=bool)
     pos, neg = np.sort(errors[labels]), np.sort(errors[~labels])
     if not pos.size or not neg.size:
-        raise DegenerateLabelsError("both owner and theft labels are required")
+        raise DataError("both owner and theft labels are required")
     tpr = (pos.size - np.searchsorted(pos, thresholds, side="right")) / pos.size
     fpr = (neg.size - np.searchsorted(neg, thresholds, side="right")) / neg.size
     order = np.lexsort((tpr, fpr))
@@ -92,7 +85,7 @@ def roc_sweep(errors: np.ndarray, labels: np.ndarray, thresholds: np.ndarray) ->
 def optimize_threshold(curve: RocCurve) -> float:
     """Threshold maximizing Youden's J = tpr - fpr; ties prefer the larger."""
     if not curve.thresholds.size:
-        raise DetectError("empty ROC curve")
+        raise DataError("empty ROC curve")
     j = curve.tpr - curve.fpr
     return float(curve.thresholds[j == j.max()].max())
 
@@ -101,7 +94,7 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> dict:
     """Confusion counts and rates with theft as the positive class; a 0/0 rate is 0."""
     pred, truth = np.asarray(predictions, dtype=bool), np.asarray(labels, dtype=bool)
     if pred.shape != truth.shape:
-        raise DetectError("predictions and labels differ in length")
+        raise DataError("predictions and labels differ in length")
     tp, fp = int(np.sum(pred & truth)), int(np.sum(pred & ~truth))
     fn, tn = int(np.sum(~pred & truth)), int(np.sum(~pred & ~truth))
     total = tp + fp + tn + fn
@@ -115,7 +108,8 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> dict:
     }
 
 
-def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
+def roc_csv(curve: RocCurve) -> str:
+    """The curve as CSV text: a ``threshold,tpr,fpr`` header and one row per threshold."""
     rows = zip(curve.thresholds.tolist(), curve.tpr.tolist(), curve.fpr.tolist())
     lines = ["threshold,tpr,fpr"] + [f"{t!r},{tpr!r},{fpr!r}" for t, tpr, fpr in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

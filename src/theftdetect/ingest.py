@@ -1,11 +1,14 @@
 """File reading and writing, trip CSV ingestion and feature selection.
 
 ``read_text`` and ``read_json`` read every input file, as UTF-8, and raise the
-caller's error naming a file that cannot be read or decoded; ``write_json``
-writes every JSON output but the codebooks. Trips are CSV files (header row of
-feature names, one numeric row per sample). Per-driver summary statistics drive
-three rejection rules (missing values, invariance at zero, cross-driver
-indifference) followed by a separation score that picks the essential features.
+caller's error naming a file that cannot be read or decoded. ``write_file``
+opens every output file, creating its directory, and raises ``DataError``
+naming a file that cannot be written; ``write_json`` writes every JSON output
+but the codebooks through it. Trips are CSV files (header row of feature
+names, one numeric row per sample). Per-driver summary statistics drive three
+rejection rules (missing or non-finite values, invariance at zero,
+cross-driver indifference) followed by a separation score that picks the
+essential features.
 """
 
 from __future__ import annotations
@@ -14,10 +17,14 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
+
+from . import ConfigError, DataError
 
 MISSING = math.nan
 
@@ -33,22 +40,6 @@ SEPARATION_THRESHOLD = 0.5
 ESSENTIAL_TARGET = 5
 
 
-class IngestError(Exception):
-    """Base class for ingestion failures."""
-
-
-class ParseError(IngestError):
-    """Malformed CSV content; message names the offending line."""
-
-
-class EmptyTripError(IngestError):
-    """Trip file contains a header but no data rows."""
-
-
-class NoEssentialFeaturesError(IngestError):
-    """No rule survivor scored above the separation threshold."""
-
-
 @dataclass
 class TripLog:
     """One trip's multivariate time series, uniformly sampled."""
@@ -60,14 +51,14 @@ class TripLog:
 
     def __post_init__(self) -> None:
         if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+            raise DataError("sample_period_s must be positive")
         if not self.features:
-            raise ValueError("trip must carry at least one feature")
+            raise DataError("trip must carry at least one feature")
         lengths = {name: len(v) for name, v in self.features.items()}
         if len(set(lengths.values())) != 1:
-            raise ValueError(f"feature series lengths differ: {lengths}")
+            raise DataError(f"feature series lengths differ: {lengths}")
         if self.length < 1:
-            raise ValueError("trip must contain at least one sample")
+            raise DataError("trip must contain at least one sample")
 
     @property
     def length(self) -> int:
@@ -78,7 +69,7 @@ class TripLog:
         return list(self.features)
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
+def read_text(path: str | Path, error: type[ConfigError | DataError]) -> str:
     """The UTF-8 text of ``path``, newlines as stored; a file that cannot be read
     or decoded raises ``error`` naming it."""
     try:
@@ -89,7 +80,7 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def read_json(path: str | Path, error: type[Exception]):
+def read_json(path: str | Path, error: type[ConfigError | DataError]):
     """The JSON document at ``path``; a file that ``read_text`` rejects or that is
     not JSON raises ``error`` naming it."""
     try:
@@ -98,9 +89,22 @@ def read_json(path: str | Path, error: type[Exception]):
         raise error(f"{path} is not valid JSON: {exc}") from None
 
 
+@contextmanager
+def write_file(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open for UTF-8 text writing, newlines as written, its directory created;
+    a directory or file that cannot be made or written raises ``DataError`` naming it."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_json(doc, path: str | Path) -> None:
     """``doc`` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with write_file(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _infer_ids(path: Path) -> tuple[str, str]:
@@ -123,19 +127,19 @@ def parse_trip(
     """
     path = Path(path)
     inferred_trip, inferred_driver = _infer_ids(path)
-    reader = csv.reader(io.StringIO(read_text(path, ParseError), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
     try:
         header = [h.strip() for h in next(reader, [])]
         if not header:
-            raise ParseError(f"{path}: no header row of feature names")
+            raise DataError(f"{path}: no header row of feature names")
         if len(set(header)) != len(header):
-            raise ParseError(f"{path}: duplicate feature names in header")
+            raise DataError(f"{path}: duplicate feature names in header")
         columns: list[list[float]] = [[] for _ in header]
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(
+                raise DataError(
                     f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
                 )
             for col, cell in zip(columns, row):
@@ -146,20 +150,20 @@ def parse_trip(
                     try:
                         col.append(float(cell))
                     except ValueError:
-                        raise ParseError(f"{path}: line {lineno} non-numeric cell {cell!r}") from None
+                        raise DataError(f"{path}: line {lineno} non-numeric cell {cell!r}") from None
     except csv.Error as exc:
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
-        raise EmptyTripError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
 
     features = {name: np.asarray(col, dtype=float) for name, col in zip(header, columns)}
     stamps = features.pop(TIMESTAMP_COLUMN, None)
     if stamps is not None:
         deltas = np.diff(stamps)
         if deltas.size and not np.allclose(deltas, sample_period_s, rtol=0, atol=1e-6):
-            raise ParseError(f"{path}: timestamp column is not uniform at {sample_period_s}s")
+            raise DataError(f"{path}: timestamp column is not uniform at {sample_period_s}s")
     if not features:
-        raise ParseError(f"{path}: no feature columns besides timestamp")
+        raise DataError(f"{path}: no feature columns besides timestamp")
     return TripLog(
         trip_id=trip_id or inferred_trip,
         driver_id=driver_id or inferred_driver,
@@ -180,8 +184,9 @@ def driver_stats(values: np.ndarray) -> np.ndarray:
 def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
     """The essential features of ``trips`` and the selection reason of every feature.
 
-    Rules, in order: a missing value in any trip ("missing-value"); mean and
-    std zero for every driver ("invariance"); with two or more drivers,
+    Rules, in order: a missing (NaN) or infinite value in any trip, or one so
+    large that the feature's std overflows ("missing-value"); mean and std
+    zero for every driver ("invariance"); with two or more drivers,
     per-driver mean, std, min and max within ``INDIFFERENCE_TOLERANCE`` pooled
     stds of each other ("indifference"). A survivor's separation score is the
     mean pairwise distance between per-driver five-number summaries (mean
@@ -192,7 +197,7 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
     "statistical-reject". ``reasons`` lists features in first-seen order.
     """
     if not trips:
-        raise IngestError("cannot select features from zero trips")
+        raise DataError("cannot select features from zero trips")
     by_driver = [[t for t in trips if t.driver_id == d] for d in sorted({t.driver_id for t in trips})]
     reasons: dict[str, str] = {}
     scores: dict[str, float] = {}
@@ -203,7 +208,9 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
             if (parts := [t.features[name] for t in group if name in t.features])
         ]
         pooled = np.concatenate(per_driver)
-        if np.isnan(pooled).any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            pooled_std = pooled.std()
+        if not np.isfinite(pooled_std):
             reasons[name] = "missing-value"
             continue
         stats = np.array([driver_stats(v) for v in per_driver])
@@ -211,7 +218,7 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
         spread = np.ptp(stats[:, [0, 1, 2, 6]], axis=0)
         if not stats[:, :2].any():
             reasons[name] = "invariance"
-        elif len(stats) >= 2 and (spread <= INDIFFERENCE_TOLERANCE * pooled.std()).all():
+        elif len(stats) >= 2 and (spread <= INDIFFERENCE_TOLERANCE * pooled_std).all():
             reasons[name] = "indifference"
         else:
             reasons[name] = "statistical-reject"
@@ -219,7 +226,7 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
     above = [name for name, score in scores.items() if score > SEPARATION_THRESHOLD]
     essential = sorted(above, key=lambda name: (-scores[name], name))[:ESSENTIAL_TARGET]
     if not essential:
-        raise NoEssentialFeaturesError(
+        raise DataError(
             f"no feature scored above the separation threshold {SEPARATION_THRESHOLD}"
         )
     reasons.update(dict.fromkeys(essential, "kept"))

@@ -20,13 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import TripLog, read_json, read_text, write_json
+from . import DataError
+from .ingest import TripLog, read_json, read_text, write_file, write_json
 from .windowing import DETECTION_WINDOW_S, _round_half_up
-
-
-class SynthError(Exception):
-    pass
-
 
 SEPARABLE_FEATURES = (
     "transmission_oil_temperature",
@@ -93,7 +89,7 @@ def splice_theft(
     taken from the donor trip, and its labels (True = theft sample)."""
     n = min(victim.length, donor.length)
     if start + length > n:
-        raise SynthError(f"splice [{start}, {start + length}) exceeds trip length {n}")
+        raise DataError(f"splice [{start}, {start + length}) exceeds trip length {n}")
     features = {name: values.copy() for name, values in victim.features.items()}
     for name, values in features.items():
         values[start : start + length] = donor.features[name][start : start + length]
@@ -117,13 +113,13 @@ class CorpusConfig:
 
     def __post_init__(self) -> None:
         if self.owner_train_trips < 1 or self.owner_val_trips < 0 or self.thief_val_trips < 0:
-            raise SynthError("trip counts must be positive")
+            raise DataError("trip counts must be positive")
 
 
 def _write_trip_csv(trip: TripLog, path: Path) -> None:
     columns = [("" if math.isnan(v) else repr(v) for v in values.tolist())
                for values in trip.features.values()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(trip.feature_names)
         writer.writerows(zip(*columns))
@@ -131,7 +127,8 @@ def _write_trip_csv(trip: TripLog, path: Path) -> None:
 
 def _write_labels_csv(labels: np.ndarray, path: Path) -> None:
     lines = ["label"] + [str(int(v)) for v in labels]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with write_file(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict:
@@ -141,20 +138,18 @@ def write_corpus(outdir: str | Path, cfg: CorpusConfig = CorpusConfig()) -> dict
     window past the end of a trip is rejected before anything is written.
     """
     if cfg.owner not in _BASES:
-        raise SynthError(f"unknown owner {cfg.owner!r}")
+        raise DataError(f"unknown owner {cfg.owner!r}")
     if cfg.duration_s < DETECTION_WINDOW_S:
-        raise SynthError(f"duration {cfg.duration_s}s shorter than one window ({DETECTION_WINDOW_S}s)")
+        raise DataError(f"duration {cfg.duration_s}s shorter than one window ({DETECTION_WINDOW_S}s)")
     # every trip has n samples, so one splice window serves every splice trip
     n = _round_half_up(cfg.duration_s / cfg.sample_period_s)
     start = _round_half_up(SPLICE_FRACTION * n)
     length_s = cfg.duration_s * (1.0 - SPLICE_FRACTION)
     length = _round_half_up(length_s / cfg.sample_period_s)
     if cfg.splice_trips > 0 and start + length > n:
-        raise SynthError(f"splice [{start}, {start + length}) exceeds trip length {n}")
+        raise DataError(f"splice [{start}, {start + length}) exceeds trip length {n}")
 
     outdir = Path(outdir)
-    (outdir / "trips").mkdir(parents=True, exist_ok=True)
-    (outdir / "labels").mkdir(parents=True, exist_ok=True)
     thieves = [d for d in _BASES if d != cfg.owner]
     # (driver, role) in trip sequence order; each splice victim is followed by its donor
     plan = (
@@ -205,25 +200,25 @@ def load_manifest(corpus_dir: str | Path) -> dict:
     """The corpus manifest; it must name the owner, the trips and the sample period,
     and each trip entry must give its ``_TRIP_KEYS`` as strings."""
     path = Path(corpus_dir) / "manifest.json"
-    manifest = read_json(path, SynthError)
+    manifest = read_json(path, DataError)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("owner"), str):
-        raise SynthError(f"{path} names no owner")
+        raise DataError(f"{path} names no owner")
     if not isinstance(manifest.get("trips"), list):
-        raise SynthError(f"{path} has no trips list")
+        raise DataError(f"{path} has no trips list")
     period = manifest.get("sample_period_s")
     if isinstance(period, bool) or not isinstance(period, (int, float)) or not 0 < period < math.inf:
-        raise SynthError(f"{path} needs a finite, positive sample_period_s, got {period!r}")
+        raise DataError(f"{path} needs a finite, positive sample_period_s, got {period!r}")
     for i, entry in enumerate(manifest["trips"]):
         if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in _TRIP_KEYS):
-            raise SynthError(f"{path}: trips[{i}] needs string {', '.join(_TRIP_KEYS)}")
+            raise DataError(f"{path}: trips[{i}] needs string {', '.join(_TRIP_KEYS)}")
     return manifest
 
 
 def load_labels(corpus_dir: str | Path, label_file: str) -> np.ndarray:
     """Per-sample ground truth (True = theft) from a ``label`` header and one 0 or 1 a line."""
     path = Path(corpus_dir) / label_file
-    lines = [line.strip() for line in read_text(path, SynthError).strip().splitlines()[1:]]
+    lines = [line.strip() for line in read_text(path, DataError).strip().splitlines()[1:]]
     bad = set(lines) - {"0", "1"}
     if bad:
-        raise SynthError(f"{path}: labels must be 0 or 1, got {sorted(bad)[:3]}")
+        raise DataError(f"{path}: labels must be 0 or 1, got {sorted(bad)[:3]}")
     return np.array([line == "1" for line in lines], dtype=bool)

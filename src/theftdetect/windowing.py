@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import DataError
 
 DETECTION_WINDOW_S = 32.0
-
-
-class WindowError(Exception):
-    """Series too short or configuration invalid."""
 
 
 def _round_half_up(x: float) -> int:
@@ -44,15 +41,15 @@ class WindowConfig:
 
     def __post_init__(self) -> None:
         if not all(0 < v < math.inf for v in (self.sample_period_s, self.window_s, self.stride_s)):
-            raise WindowError("window, stride, and sample period must be finite and positive")
+            raise DataError("window, stride, and sample period must be finite and positive")
         if self.window_len < 2:
-            raise WindowError(f"window_len {self.window_len} < 2")
+            raise DataError(f"window_len {self.window_len} < 2")
         if not 1 <= self.stride_len <= self.window_len:
-            raise WindowError(
+            raise DataError(
                 f"stride_len {self.stride_len} must be in [1, {self.window_len}]"
             )
         if self.detection_len < 1:
-            raise WindowError("detection window shorter than one sample")
+            raise DataError("detection window shorter than one sample")
 
     @property
     def window_len(self) -> int:
@@ -74,7 +71,7 @@ def slide(series: np.ndarray, cfg: WindowConfig) -> np.ndarray:
     """
     series = np.asarray(series, dtype=float)
     if len(series) < cfg.window_len:
-        raise WindowError(f"series of length {len(series)} shorter than window {cfg.window_len}")
+        raise DataError(f"series of length {len(series)} shorter than window {cfg.window_len}")
     return sliding_window_view(series, cfg.window_len)[:: cfg.stride_len].copy()
 
 

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import shutil
@@ -19,6 +21,7 @@ from theftdetect.cli import (
     build_parser,
     main,
 )
+from theftdetect.cluster import load_codebook
 from theftdetect.detect import windows_verdicts
 from theftdetect.synth import load_manifest
 
@@ -739,3 +742,92 @@ def test_report_command(pipeline, tmp_path):
     assert (tmp_path / "report.md").exists()
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0] == "model,feature,threshold,accuracy,precision,recall,f1"
+
+
+@pytest.mark.parametrize("case", [
+    "ingest-out-file", "train-out-file", "evaluate-out-file", "detect-out-file", "report-out-file",
+    "synth-data-file", "thresholds-directory", "report-md-directory",
+])
+def test_unwritable_output_is_data_error(pipeline, tmp_path, capsys, case):
+    """An output that cannot be written, because a file stands where its directory
+    should be or a directory where the file should be, exits 2 naming it."""
+    models, taken = tmp_path / "models", tmp_path / "taken"
+    shutil.copytree(pipeline / "models", models)
+    taken.write_text("not a directory\n")
+    corpus, report = str(pipeline / "corpus"), str(pipeline / "out" / "report.json")
+    trip = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    command, target = case.split("-", 1)
+    args = {
+        "ingest": ["ingest", "--data", corpus, "--out", str(taken)],
+        "train": ["train", "--data", corpus, "--out", str(taken), "--k", "3", "--restarts", "1"],
+        "evaluate": ["evaluate", "--data", corpus, "--models", str(models), "--out", str(taken)],
+        "detect": ["detect", "--models", str(models), "--out", str(taken),
+                   "--trip", str(pipeline / "corpus" / trip["file"])],
+        "report": ["report", "--out", str(taken), "--report", report],
+        "synth": ["synth", "--data", str(taken), "--trips", "1", "--duration", "64"],
+        "thresholds": ["evaluate", "--data", corpus, "--models", str(models),
+                       "--out", str(tmp_path / "out")],
+    }[command]
+    if command == "thresholds":
+        (models / "thresholds.json").unlink()
+        (models / "thresholds.json").mkdir()
+    elif target == "md-directory":
+        (tmp_path / "out" / "report.md").mkdir(parents=True)
+        args = ["report", "--out", str(tmp_path / "out"), "--report", report]
+    assert run(*args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write ") and "Traceback" not in err
+    named = {"thresholds": models / "thresholds.json", "report": tmp_path / "out" / "report.md"}
+    assert str(named[command] if target.endswith("directory") else taken) in err
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Two 120 s owner training trips per driver and their features.json."""
+    root = tmp_path_factory.mktemp("small")
+    assert run("synth", "--data", str(root / "corpus"), "--seed", "5",
+               "--trips", "2", "--duration", "120") == EXIT_OK
+    assert run("ingest", "--data", str(root / "corpus"), "--out", str(root / "models")) == EXIT_OK
+    return root
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    feature_pick=st.integers(0, 4),
+    trip_pick=st.integers(0, 1),
+    row_pick=st.floats(0.0, 1.0, exclude_max=True),
+    value=st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]),
+    with_features=st.booleans(),
+)
+@example(feature_pick=0, trip_pick=0, row_pick=0.5, value="inf", with_features=False)
+@example(feature_pick=0, trip_pick=0, row_pick=0.5, value="1e308", with_features=True)
+@example(feature_pick=0, trip_pick=0, row_pick=0.5, value="nan", with_features=True)
+def test_train_non_finite_or_overflowing_sample_fails_closed(
+    small_corpus, feature_pick, trip_pick, row_pick, value, with_features
+):
+    """A NaN, infinite or huge cell in an essential feature of an owner training trip
+    makes train exit 2 naming the feature, or exit 0 without a corrupt codebook."""
+    essential = json.loads((small_corpus / "models" / "features.json").read_text())["essential"]
+    feature = essential[feature_pick % len(essential)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, models = Path(tmp) / "corpus", Path(tmp) / "models"
+        shutil.copytree(small_corpus / "corpus", corpus)
+        if with_features:
+            shutil.copytree(small_corpus / "models", models)
+        entry = [t for t in load_manifest(corpus)["trips"] if t["role"] == "train"][trip_pick]
+        with open(corpus / entry["file"], newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[int(row_pick * len(rows))][header.index(feature)] = value
+        with open(corpus / entry["file"], "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run("train", "--data", str(corpus), "--out", str(models), "--k", "3", "--restarts", "1")
+        err = err.getvalue()
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_DATA:
+            assert err.startswith("data error:") and repr(feature) in err
+        else:
+            book = models / f"codebook_{feature}.json"
+            if book.exists():  # a huge cell no window weighs: at a hann end or past the last window
+                assert value in ("1e308", "-1e308")
+                load_codebook(book)  # finite centroids and sse

@@ -1,12 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import fit_codebook, make_windows
+from theftdetect import DataError, InfeasibleKError
 from theftdetect.cluster import (
-    ClusterError,
-    InfeasibleKError,
     assign,
     elbow_sweep,
     kmeans_fit,
@@ -66,9 +66,9 @@ def test_assign_matches_brute_force():
 def test_assign_rejects_wrong_window_len():
     rng = np.random.default_rng(10)
     centroids, _, _ = kmeans_fit(make_windows(rng, 12, 10), 5, seed=1)
-    with pytest.raises(ClusterError, match="window_len"):
+    with pytest.raises(DataError, match="window_len"):
         assign(make_windows(rng, 3, 9), centroids)
-    with pytest.raises(ClusterError, match="window_len"):
+    with pytest.raises(DataError, match="window_len"):
         assign(make_windows(rng, 1, 10)[0], centroids)
 
 
@@ -96,22 +96,33 @@ def test_infeasible_k():
         kmeans_fit(np.ones((5, 4)), 2, seed=0)
 
 
+@pytest.mark.parametrize("row, value", [(0, math.nan), (0, math.inf), (0, 1e308), (slice(0, 5), 1e153)],
+                         ids=["nan", "inf", "diameter-overflows", "sum-overflows"])
+def test_kmeans_rejects_non_finite_or_overflowing_windows(row, value):
+    """A matrix whose row count times squared bounding-box diameter is not finite
+    is a data error, before any distance is computed (no numpy warning)."""
+    x = make_windows(np.random.default_rng(5), 10, 32)
+    x[row] += value
+    with pytest.raises(DataError, match="not finite or span too wide a range"):
+        kmeans_fit(x, 2, seed=0)
+
+
 def training_meta(cb):
     return cb.trip_ids, cb.segment_count, cb.iterations, cb.seed
 
 
 def test_non_strict_k_capped_at_distinct_rows():
     x = np.repeat(np.eye(4), 3, axis=0)  # 12 rows, 4 distinct
-    centroids, sse, iterations = kmeans_fit(x, 10, seed=0, strict_k=False)
+    centroids, sse, iterations = kmeans_fit(x, None, seed=0)
     assert centroids.shape == (4, 4)
     assert sse == 0.0
     assert iterations >= 1
 
 
 def test_rejects_empty_or_non_matrix_input():
-    with pytest.raises(ClusterError):
+    with pytest.raises(DataError):
         kmeans_fit(np.empty((0, 4)), 1, seed=0)
-    with pytest.raises(ClusterError):
+    with pytest.raises(DataError):
         kmeans_fit(np.ones(4), 1, seed=0)
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from theftdetect import DataError
 from theftdetect.detect import (
-    DegenerateLabelsError,
-    DetectError,
     compute_metrics,
     ensemble_vote,
     optimize_threshold,
@@ -14,7 +13,7 @@ from theftdetect.detect import (
     threshold_grid,
     windows_verdicts,
 )
-from theftdetect.windowing import WindowConfig, WindowError
+from theftdetect.windowing import WindowConfig
 
 
 def errors(values):
@@ -45,7 +44,7 @@ def test_trailing_partial_window_dropped():
 
 
 def test_too_short_series():
-    with pytest.raises(DetectError):
+    with pytest.raises(DataError):
         windows_verdicts(errors(np.zeros(10)), 32)
 
 
@@ -89,9 +88,9 @@ def test_ensemble_permutation_symmetric():
 
 
 def test_ensemble_wrong_model_count():
-    with pytest.raises(DetectError):
+    with pytest.raises(DataError):
         ensemble_vote(np.ones((0, 3), dtype=bool))
-    with pytest.raises(DetectError):
+    with pytest.raises(DataError):
         ensemble_vote(np.ones(5, dtype=bool))
 
 
@@ -240,7 +239,7 @@ def test_auc_invariant_under_monotone_transform():
 
 
 def test_roc_degenerate_labels():
-    with pytest.raises(DegenerateLabelsError):
+    with pytest.raises(DataError, match="both owner and theft labels are required"):
         sweep([(1.0, True), (2.0, True)], [0.5])
 
 
@@ -304,13 +303,13 @@ def test_metrics_zero_denominators_flagged():
 
 
 def test_metrics_length_mismatch():
-    with pytest.raises(DetectError):
+    with pytest.raises(DataError):
         compute_metrics(np.array([True]), np.array([True, False]))
 
 
 def test_detection_config_validation():
     # a 100 s sample period leaves 32 s detection windows 0.32 samples long
-    with pytest.raises(WindowError):
+    with pytest.raises(DataError):
         WindowConfig(sample_period_s=100.0, window_s=200.0, stride_s=100.0)
-    with pytest.raises(DetectError):
+    with pytest.raises(DataError):
         windows_verdicts(errors(np.zeros(10)), 0)

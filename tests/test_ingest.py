@@ -10,16 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from theftdetect.ingest import (
     ESSENTIAL_TARGET,
     SEPARATION_THRESHOLD,
-    EmptyTripError,
-    IngestError,
-    NoEssentialFeaturesError,
-    ParseError,
     TripLog,
     driver_stats,
     parse_trip,
     select_essential,
 )
-from theftdetect.synth import SynthError, load_labels
+from theftdetect import DataError
+from theftdetect.synth import load_labels
 
 
 def write_csv(tmp_path, name, text):
@@ -47,13 +44,13 @@ def test_parse_blank_cell_is_missing(tmp_path):
 
 def test_parse_row_length_mismatch_names_line(tmp_path):
     path = write_csv(tmp_path, "A_t1.csv", "speed,rpm\n1,10\n1,2,3\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3"):
         parse_trip(path, 1.0)
 
 
 def test_parse_empty_trip(tmp_path):
     path = write_csv(tmp_path, "A_t1.csv", "speed,rpm\n")
-    with pytest.raises(EmptyTripError):
+    with pytest.raises(DataError, match="no data rows"):
         parse_trip(path, 1.0)
 
 
@@ -62,7 +59,7 @@ def test_parse_timestamp_checked_and_dropped(tmp_path):
     trip = parse_trip(good, 1.0)
     assert trip.feature_names == ["speed"]
     bad = write_csv(tmp_path, "A_bad.csv", "timestamp,speed\n0,1\n1,2\n5,3\n")
-    with pytest.raises(ParseError, match="uniform"):
+    with pytest.raises(DataError, match="uniform"):
         parse_trip(bad, 1.0)
 
 
@@ -73,7 +70,7 @@ def test_parse_crlf(tmp_path):
 
 def test_parse_oversize_cell_is_parse_error(tmp_path):
     path = write_csv(tmp_path, "A_t1.csv", "speed\n" + "1" * (csv.field_size_limit() + 1) + "\n")
-    with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+    with pytest.raises(DataError, match="field larger than field limit") as excinfo:
         parse_trip(path, 1.0)
     assert str(path) in str(excinfo.value)
 
@@ -90,18 +87,18 @@ CSV_LIKE = st.lists(st.sampled_from([
 @example(data=b"\n").via("blank header line")
 @example(data=b"speed\n1\n\xff\n").via("non-UTF-8 byte")
 def test_file_readers_fail_closed_on_any_bytes(data):
-    """A trip CSV either parses or raises an IngestError; a label file either loads
-    or raises a SynthError. No other exception escapes either reader."""
+    """A trip CSV either parses or raises a DataError; so does a label file. No
+    other exception escapes either reader."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "A_t1.csv"
         path.write_bytes(data)
         try:
             assert isinstance(parse_trip(path, 1.0), TripLog)
-        except IngestError as exc:
+        except DataError as exc:
             assert str(path) in str(exc)
         try:
             assert load_labels(tmp, path.name).dtype == bool
-        except SynthError as exc:
+        except DataError as exc:
             assert str(path) in str(exc)
 
 
@@ -157,12 +154,20 @@ def test_catalog_two_drivers():
 
 
 def test_catalog_requires_trips():
-    with pytest.raises(IngestError, match="zero trips"):
+    with pytest.raises(DataError, match="zero trips"):
         select_essential([])
 
 
 def test_rule_missing_value():
     reasons = reasons_of(trip("A", "t1", f=[1.0, math.nan]), trip("B", "t2", f=[1.0, 2.0]))
+    assert reasons["f"] == "missing-value"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e308, -1e308])
+def test_rule_missing_value_non_finite_or_overflowing(value):
+    """An infinity, or a value whose square overflows the std, rejects the feature
+    as missing, without a numpy warning."""
+    reasons = reasons_of(trip("A", "t1", f=[1.0, value]), trip("B", "t2", f=[1.0, 2.0]))
     assert reasons["f"] == "missing-value"
 
 
@@ -247,7 +252,7 @@ def test_select_essential_never_resurrects():
 def test_select_essential_zero_survivors():
     trips = [trip("A", "t1", f=[1.0, 2.0]), trip("B", "t2", f=[1.1, 2.1])]
     with pytest.raises(
-        NoEssentialFeaturesError, match=r"no feature scored above the separation threshold 0\.5$"
+        DataError, match=r"no feature scored above the separation threshold 0\.5$"
     ):
         select_essential(trips)
 

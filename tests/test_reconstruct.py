@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import fit_codebook
+from theftdetect import DataError
 from theftdetect.cluster import assign
 from theftdetect.reconstruct import error_series, overlap_merge
 from theftdetect.windowing import (
     WindowConfig,
-    WindowError,
     hann_filter,
     slide_highlighted,
 )
@@ -108,7 +108,7 @@ def test_overlap_merge_order_independent():
 def test_reconstruct_too_short():
     cfg = small_cfg()
     cb = train_codebook(np.arange(24.0), cfg, k=2)
-    with pytest.raises(WindowError):
+    with pytest.raises(DataError):
         error_series(np.arange(5.0), cb)
 
 

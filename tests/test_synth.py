@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from theftdetect import DataError
 from theftdetect.ingest import TripLog, driver_stats
 from theftdetect.synth import (
     CorpusConfig,
-    SynthError,
     ar_sine,
     generate_trip,
     load_labels,
@@ -38,7 +38,7 @@ def test_generation_deterministic():
 
 
 def test_duration_shorter_than_window(tmp_path):
-    with pytest.raises(SynthError, match="shorter than one window"):
+    with pytest.raises(DataError, match="shorter than one window"):
         write_corpus(tmp_path / "c", CorpusConfig(duration_s=10.0))
     assert not (tmp_path / "c").exists()
 
@@ -85,9 +85,9 @@ def test_splice_final_160s():
 
 def test_splice_out_of_range():
     victim, donor = two_trips()
-    with pytest.raises(SynthError, match=r"splice \[540, 740\) exceeds trip length 600"):
+    with pytest.raises(DataError, match=r"splice \[540, 740\) exceeds trip length 600"):
         splice_theft(victim, donor, 540, 200)
-    with pytest.raises(SynthError, match="exceeds trip length 400"):
+    with pytest.raises(DataError, match="exceeds trip length 400"):
         splice_theft(victim, two_trips(400)[1], 300, 200)
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from theftdetect import DataError
 from theftdetect.windowing import (
     WindowConfig,
-    WindowError,
     hann_filter,
     slide,
     slide_highlighted,
@@ -27,7 +27,7 @@ def test_slide_exact_window():
 
 
 def test_slide_too_short():
-    with pytest.raises(WindowError):
+    with pytest.raises(DataError):
         slide(np.arange(31.0), cfg())
 
 
@@ -47,7 +47,7 @@ def test_slide_count_formula(length, window, stride):
     stride = min(stride, window)
     c = cfg(window=window, stride=stride)
     if length < window:
-        with pytest.raises(WindowError):
+        with pytest.raises(DataError):
             slide(np.zeros(length), c)
         return
     series = np.arange(float(length))
@@ -114,9 +114,9 @@ def test_highlight_linear():
 
 
 def test_window_config_validation():
-    with pytest.raises(WindowError):
+    with pytest.raises(DataError):
         WindowConfig(sample_period_s=1.0, window_s=1.0, stride_s=1.0)  # window_len < 2
-    with pytest.raises(WindowError):
+    with pytest.raises(DataError):
         WindowConfig(sample_period_s=1.0, window_s=32.0, stride_s=48.0)  # stride > window
 
 
