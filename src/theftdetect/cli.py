@@ -148,8 +148,9 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
     """Representative error per (model, detection window) of one trip, rows in ``books`` order.
 
     A model's verdict on a window is its error > the model's threshold. Trips
-    sampled at another period than the codebooks, or with a missing or
-    non-finite sample in a model's feature, are rejected.
+    sampled at another period than the codebooks, with a missing or non-finite
+    sample in a model's feature, or whose windows are too far from the
+    centroids to square their distances, are rejected.
     """
     wcfg = next(iter(books.values())).cfg  # load_models makes every book's cfg the same
     if trip.sample_period_s != wcfg.sample_period_s:
@@ -164,7 +165,11 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
             raise DataError(f"trip {trip.trip_id} lacks feature {feature!r}")
         if not np.isfinite(series).all():
             raise DataError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
-        rows.append(detect.windows_verdicts(reconstruct.error_series(series, cb), wcfg.detection_len))
+        try:
+            errors = reconstruct.error_series(series, cb)
+        except DataError as exc:
+            raise DataError(f"trip {trip.trip_id} feature {feature!r}: {exc}") from None
+        rows.append(detect.windows_verdicts(errors, wcfg.detection_len))
     return np.stack(rows)
 
 
@@ -348,8 +353,9 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
 def cmd_evaluate(cfg: RunConfig, models_dir: str) -> int:
     report, curves = evaluate(cfg, models_dir)
     out_dir = Path(cfg.out_dir)
-    ingest.write_json(report, out_dir / "report.json")
+    # thresholds first: a report is never left whose thresholds were not saved
     ingest.write_json(report["thresholds"], Path(models_dir) / "thresholds.json")
+    ingest.write_json(report, out_dir / "report.json")
     tables = [(f"roc_{feature}.csv", detect.roc_csv(curve)) for feature, curve in curves.items()]
     for name, text in tables + [("report.md", render_markdown(report))]:
         with ingest.write_file(out_dir / name) as fh:

@@ -8,6 +8,13 @@ farthest from the chord. ``assign`` maps every row of a window matrix to its
 nearest centroid in one batched pass. A ``Codebook`` is one feature's
 centroids with their window config and training metadata, persisted as
 versioned JSON.
+
+Nearest-centroid search (``_assign_all``, the hot loop of Lloyd's iterations
+and of scoring) ranks centroids by one BLAS product per block of rows and
+recomputes exact differences only for those a rounding bound cannot rule
+out, so its labels and squared distances equal the exact search's bit for
+bit. Lloyd's update sums each cluster's rows as one contiguous slice of the
+label-sorted matrix, in the order ``x[labels == j].mean(axis=0)`` does.
 """
 
 from __future__ import annotations
@@ -35,9 +42,9 @@ _CODEBOOK_KEYS = (
     "feature", "k", "window_len", "stride_len", "sample_period_s", "window_s", "stride_s",
     "filter_name", "centroids", "sse", "seed", "training_meta",
 )
-# rows per distance block in _assign_all: the block's temporaries (rows * k *
-# window_len floats, 1.2 MB at k=300 and 32 samples) stay cache-sized
-ASSIGN_CHUNK = 16
+# rows per block in _assign_all: each of a block's temporaries holds rows * k
+# floats (154 kB at k=300), so they and BLAS's packing buffers stay cache-sized
+ASSIGN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,19 @@ class ElbowCurve:
     recommended_k: int
 
 
+def _check_span(*matrices: np.ndarray, count: int = 1) -> None:
+    """Reject rows whose squared distances could overflow.
+
+    No squared distance between rows of ``matrices`` exceeds the squared
+    diameter of their bounding box, and no sum of ``count`` of them exceeds
+    ``count`` times it; that bound must be finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = count * np.sum(np.ptp(np.concatenate(matrices), axis=0) ** 2)
+    if not np.isfinite(bound):
+        raise DataError("window values are not finite or span too wide a range for squared distances")
+
+
 def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(x)
     centroids = np.empty((k, x.shape[1]))
@@ -89,16 +109,80 @@ def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances; ties go to lowest index.
 
-    Exact pairwise differences, ``ASSIGN_CHUNK`` rows at a time.
+    The result is bit for bit that of the exact search, which computes
+    ``d2_ij = ((x_i - c_j) ** 2).sum()`` for every pair and takes the first
+    minimum of each row; here only a few pairs per row are computed that way.
+    Per ``ASSIGN_CHUNK`` rows:
+
+    1. Centre on ``r``, the midpoint of the centroids' bounding box:
+       ``x' = fl(x - r)`` and ``c' = fl(c - r)``. Expand
+       ``a_ij = nx_i + nc_j - 2 g_ij`` with ``nx = ||x'||^2``, ``nc = ||c'||^2``
+       and one BLAS product ``g = x' @ c'.T``.
+    2. Keep the pairs with ``a_ij <= min_l a_il + s_i``, recompute their exact
+       ``d2`` and take the first minimum of each row.
+
+    Why the kept pairs hold the exact search's choice (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1). Let u = 2^-53,
+    eps = 2u, γ_k = ku / (1 - ku), d the window length, S = ||x'|| + ||c'||.
+
+    - A sum of d products, in any order and with or without FMA, is off by at
+      most γ_d times the sum of their magnitudes. So the computed ``nx``, ``nc``
+      and ``g`` are off by at most γ_d (||x'||^2 + ||c'||^2 + 2 ||x'|| ||c'||)
+      = γ_d S^2 in ``a``, and the two additions add γ_2 (1 + γ_d) S^2:
+      ``|a - ||x' - c'||^2| <= γ_{d+2} S^2``.
+    - Centring moves each coordinate of ``x' - c'`` by at most
+      u/(1-u) (|x'_t| + |c'_t|) from ``x_t - c_t``, so ``||x' - c'||`` is within
+      u S/(1-u) of ``||x - c||`` and their squares are within 3u S^2.
+    - The exact search's ``d2`` is within γ_{d+2} ||x - c||^2 <= γ_{d+3} S^2
+      of ``||x - c||^2``.
+
+    So ``|a_ij - d2_ij| <= γ_{2d+8} S^2 <= e_i``, where
+    ``e_i = 2 γ_{2d+8} (nx_i + max nc) / (1 - γ_d)``, about (4d + 16) u (nx_i + max nc).
+    If the exact search picks j*, then for every l
+    ``a_ij* <= d2_ij* + e_i <= d2_il + e_i <= a_il + 2 e_i``: j* is kept when
+    ``s_i >= 2 e_i``. The slack used, ``s_i = (8d + 32) (eps (nx_i + max nc) + 2^-1074)``,
+    is twice that. The margin covers the rounding of ``s_i`` and of
+    ``min + s_i``, at most about 3u (nx_i + max nc). Gradual underflow adds at
+    most 2^-1075 to each product, under 6d 2^-1074 in 2 e_i, which the
+    ``2^-1074`` term covers.
+
+    A row keeps every centroid when ``nx_i + max nc`` exceeds a sixteenth of
+    the largest double, so no step of the expansion overflows. Centring keeps
+    ``nx`` and ``nc`` near the squared diameter of the rows and centroids
+    together. That is finite for every matrix ``kmeans_fit`` and ``assign``
+    accept, even where ``||x||^2`` is not.
     """
-    n = len(x)
+    n, length = x.shape
     labels = np.empty(n, dtype=np.intp)
     best_d2 = np.empty(n)
-    for lo in range(0, n, ASSIGN_CHUNK):
-        hi = min(lo + ASSIGN_CHUNK, n)
-        d2 = ((x[lo:hi, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[lo:hi] = np.argmin(d2, axis=1)
-        best_d2[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
+    ref = 0.5 * centroids.min(axis=0) + 0.5 * centroids.max(axis=0)
+    cc = centroids - ref
+    nc = np.einsum("ij,ij->i", cc, cc)
+    nc_max = nc.max()
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    # a row with a larger nx_i keeps every centroid
+    nx_limit = np.finfo(float).max / 16 - nc_max
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, ASSIGN_CHUNK):
+            hi = min(lo + ASSIGN_CHUNK, n)
+            xc = x[lo:hi] - ref
+            nx = np.einsum("ij,ij->i", xc, xc)
+            approx = xc @ cc.T
+            approx *= -2.0
+            approx += nx[:, None]
+            approx += nc
+            slack = (8 * length + 32) * (eps * (nx + nc_max) + tiny)
+            slack[~(nx <= nx_limit)] = np.inf
+            # NaN compares false, so a row whose bound is NaN keeps every centroid
+            rows, cols = np.nonzero(~(approx > (approx.min(axis=1) + slack)[:, None]))
+            exact = ((x[lo + rows] - centroids[cols]) ** 2).sum(axis=1)
+            # every row keeps its approximate minimum; rows ascend, and columns
+            # ascend within a row, so a row's first pair at its minimum has the lowest index
+            row_min = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+            ties = np.flatnonzero(exact == row_min[rows])
+            first = ties[np.diff(rows[ties], prepend=-1) != 0]
+            labels[lo:hi] = cols[first]
+            best_d2[lo:hi] = exact[first]
     return labels, best_d2
 
 
@@ -112,6 +196,9 @@ def lloyd(
 
     Returns (centroids, labels, sse, iterations, sse_trace) where sse_trace
     holds the SSE after the initial assignment and after each iteration.
+    Each update sorts the rows by label once, with a stable sort, so that a
+    cluster's members are one contiguous slice in row order and its mean
+    sums them exactly as ``x[labels == j].mean(axis=0)`` would.
     """
     centroids = init_centroids.copy()
     k = len(centroids)
@@ -120,14 +207,18 @@ def lloyd(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = x[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
-            else:
-                # reseed an empty cluster at the point farthest from its centroid
-                _, cur_d2 = _assign_all(x, new_centroids)
-                new_centroids[j] = x[np.argmax(cur_d2)]
+        counts = np.bincount(labels, minlength=k)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        grouped = x[np.argsort(labels, kind="stable")]
+        filled = np.flatnonzero(counts)
+        for j in filled:
+            new_centroids[j] = np.add.reduce(grouped[bounds[j]:bounds[j + 1]], axis=0)
+        new_centroids[filled] /= counts[filled, None]
+        for j in np.flatnonzero(counts == 0):
+            # reseed an empty cluster at the point farthest from the centroids
+            # as they stand when its turn comes: updated below j, old from j on
+            _, cur_d2 = _assign_all(x, np.concatenate([new_centroids[:j], centroids[j:]]))
+            new_centroids[j] = x[np.argmax(cur_d2)]
         shift = float(np.max(np.sum((new_centroids - centroids) ** 2, axis=1)))
         centroids = new_centroids
         labels, d2 = _assign_all(x, centroids)
@@ -150,10 +241,7 @@ def kmeans_fit(
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not len(x):
         raise DataError(f"expected a non-empty (n_windows, window_len) matrix, got shape {x.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = len(x) * np.sum(np.ptp(x, axis=0) ** 2)
-    if not np.isfinite(bound):
-        raise DataError("window values are not finite or span too wide a range for squared distances")
+    _check_span(x, count=len(x))
     distinct = len(np.unique(x, axis=0))
     if k is None:
         k = min(DEFAULT_K, distinct)
@@ -204,12 +292,17 @@ def elbow_sweep(
 
 
 def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid index and Euclidean distance per window row; ties break low."""
+    """Nearest centroid index and Euclidean distance per window row; ties break low.
+
+    The windows are rejected unless the bounding box of their rows and the
+    centroids has a finite squared diameter, which bounds every squared distance.
+    """
     if windows.ndim != 2 or windows.shape[1] != centroids.shape[1]:
         raise DataError(
             f"window matrix of shape {windows.shape} does not match "
             f"centroid window_len {centroids.shape[1]}"
         )
+    _check_span(windows, centroids)
     labels, d2 = _assign_all(windows, centroids)
     return labels, np.sqrt(d2)
 

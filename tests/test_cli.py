@@ -179,6 +179,34 @@ def test_detect_non_finite_sample_is_data_error(pipeline, feature_pick, row_pick
         assert not list(out.glob("detection_*.json"))
 
 
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_overflowing_sample_when_scoring_is_data_error(pipeline, tmp_path, capsys, command, value):
+    """A finite sample too large to square its distance to the centroids exits 2
+    naming the trip and the feature, with no numpy warning and no output written."""
+    corpus, models, out = tmp_path / "corpus", tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "corpus", corpus)
+    shutil.copytree(pipeline / "models", models)
+    feature = json.loads((models / "features.json").read_text())["essential"][0]
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
+    with open(corpus / entry["file"], newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows[100][header.index(feature)] = value  # mid-window in two windows: hann weighs it
+    with open(corpus / entry["file"], "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    thresholds = (models / "thresholds.json").read_bytes()
+    if command == "detect":
+        args = ["detect", "--models", str(models), "--out", str(out), "--trip", str(corpus / entry["file"])]
+    else:
+        args = ["evaluate", "--data", str(corpus), "--models", str(models), "--out", str(out)]
+    assert run(*args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: trip {entry['trip_id']} feature {feature!r}: ")
+    assert "too wide a range for squared distances" in err
+    assert not out.exists()
+    assert (models / "thresholds.json").read_bytes() == thresholds
+
+
 def test_detect_mixed_window_configs_is_data_error(pipeline, tmp_path):
     models = tmp_path / "models"
     shutil.copytree(pipeline / "models", models)
@@ -779,6 +807,8 @@ def test_unwritable_output_is_data_error(pipeline, tmp_path, capsys, case):
     assert err.startswith("data error: cannot write ") and "Traceback" not in err
     named = {"thresholds": models / "thresholds.json", "report": tmp_path / "out" / "report.md"}
     assert str(named[command] if target.endswith("directory") else taken) in err
+    if command == "thresholds":  # written first: no report is left whose thresholds were not saved
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.fixture(scope="module")

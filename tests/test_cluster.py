@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import fit_codebook, make_windows
 from theftdetect import DataError, InfeasibleKError
 from theftdetect.cluster import (
+    ASSIGN_CHUNK,
+    _assign_all,
     assign,
     elbow_sweep,
     kmeans_fit,
@@ -191,3 +194,124 @@ def test_codebook_json_round_trip_bit_faithful(tmp_path):
         "sample_period_s", "filter_name", "centroids", "sse", "seed", "trained_at",
     ):
         assert key in doc
+
+
+def exact_search(x, centroids, chunk=16):
+    """The reference search: exact differences to every centroid, ``chunk`` rows at a time."""
+    n = len(x)
+    labels = np.empty(n, dtype=np.intp)
+    best_d2 = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        d2 = ((x[lo:hi, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[lo:hi] = np.argmin(d2, axis=1)
+        best_d2[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
+    return labels, best_d2
+
+
+def mask_lloyd(x, init_centroids, max_iter, tol):
+    """The reference Lloyd's iterations: one boolean mask and ``mean`` per cluster,
+    and an exact search over the centroids as they stand for each empty one."""
+    centroids = init_centroids.copy()
+    labels, d2 = exact_search(x, centroids)
+    trace = [float(d2.sum())]
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        new_centroids = centroids.copy()
+        for j in range(len(centroids)):
+            members = x[labels == j]
+            if len(members):
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                _, cur_d2 = exact_search(x, new_centroids)
+                new_centroids[j] = x[np.argmax(cur_d2)]
+        shift = float(np.max(np.sum((new_centroids - centroids) ** 2, axis=1)))
+        centroids = new_centroids
+        labels, d2 = exact_search(x, centroids)
+        trace.append(float(d2.sum()))
+        if shift < tol:
+            break
+    return centroids, labels, float(d2.sum()), iterations, trace
+
+
+@st.composite
+def search_cases(draw):
+    """(rows, centroids) with exact ties, 1-ulp near-ties, zero rows, magnitudes
+    from 1e-3 to 1e6 and an offset so large that ||x||^2 overflows."""
+    n = draw(st.integers(1, 3 * ASSIGN_CHUNK + 5))
+    k = draw(st.integers(1, 40))
+    # around numpy's pairwise-summation block edges (8 and 128 terms)
+    d = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 32, 33, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "offset"]))
+    if kind == "normal":
+        scale = 10.0 ** draw(st.integers(-3, 6))
+        x, c = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(k, d))
+    elif kind == "grid":  # halves: every squared distance is exact, so ties are exact
+        x, c = 0.5 * rng.integers(-3, 4, size=(n, d)), 0.5 * rng.integers(-3, 4, size=(k, d))
+    else:  # a few ulps apart at 1e155 or more: the differences square finitely, ||x||^2 does not
+        base = draw(st.sampled_from([1e155, -3e157, 1e160]))
+        step = abs(np.spacing(base))
+        x = base + step * rng.integers(-50, 51, size=(n, d))
+        c = base + step * rng.integers(-50, 51, size=(k, d))
+    i, j, r = rng.integers(k), rng.integers(k), rng.integers(n)
+    if draw(st.booleans()):  # duplicate centroids
+        c[j] = c[i]
+    if draw(st.booleans()):  # a row on a centroid
+        x[r] = c[i]
+    if draw(st.booleans()):  # a centroid 1 ulp from another in one coordinate
+        t = rng.integers(d)
+        c[j] = c[i]
+        c[j, t] = np.nextafter(c[i, t], np.inf)
+    if draw(st.booleans()):  # a row midway between two centroids: exactly equidistant on the grid
+        x[r] = 0.5 * (c[i] + c[j])
+    if kind != "offset" and draw(st.booleans()):  # all-zero rows
+        x[rng.integers(n, size=max(1, n // 4))] = 0.0
+    return x, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases())
+def test_assign_all_matches_exact_search_bit_for_bit(case):
+    x, c = case
+    labels, d2 = _assign_all(x, c)
+    want_labels, want_d2 = exact_search(x, c)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert d2.tobytes() == want_d2.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3 * ASSIGN_CHUNK),
+    d=st.sampled_from([1, 4, 32]),
+    k=st.integers(1, 30),
+    duplicates=st.integers(0, 3),
+    max_iter=st.integers(1, 20),
+    tol=st.sampled_from([0.0, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, d=4, k=6, duplicates=2, max_iter=10, tol=0.0, seed=0).via("two empty clusters")
+def test_lloyd_matches_mask_lloyd_bit_for_bit(n, d, k, duplicates, max_iter, tol, seed):
+    """Duplicate initial centroids leave the higher-indexed copy empty after the
+    first assignment, so the reseed path runs."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 * rng.normal(size=(n, d))
+    k = min(k, n)
+    init = x[rng.choice(n, k, replace=False)]
+    for j in rng.choice(k, min(duplicates, k - 1), replace=False):
+        init[j] = init[0] if j else init[-1]
+    got, want = lloyd(x, init, max_iter, tol), mask_lloyd(x, init, max_iter, tol)
+    assert got[0].tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+def test_assign_rejects_windows_too_far_to_square():
+    """Windows whose squared distances to the centroids overflow are a data
+    error, with no numpy warning; so are non-finite ones."""
+    centroids = make_windows(np.random.default_rng(11), 4, 8)
+    for value in (1e308, -1e200, math.nan, math.inf):
+        windows = make_windows(np.random.default_rng(12), 3, 8)
+        windows[1, 3] = value
+        with pytest.raises(DataError, match="not finite or span too wide a range"):
+            assign(windows, centroids)
