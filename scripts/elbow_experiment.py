@@ -2,7 +2,7 @@
 """Sweep k over owner training windows and print the SSE elbow curve.
 
 Usage: python scripts/elbow_experiment.py <corpus_dir> [--feature NAME]
-                                          [--k-max 40] [--seed 7]
+                                          [--k-max 40] [--step 2] [--seed 7]
 """
 
 import argparse
@@ -21,8 +21,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--step", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.k_max < 1:
+        parser.error(f"--k-max must be at least 1, got {args.k_max}")
+    if args.step < 1:
+        parser.error(f"--step must be at least 1, got {args.step}")
 
     manifest, corpus = cli.load_corpus_trips(args.corpus_dir, roles={"train"})
+    if any(args.feature not in trip.features for _, trip in corpus):
+        parser.error(f"--feature {args.feature!r} is not a feature of every training trip")
     # the default 32 s window and 16 s stride, at the corpus's own sample period
     wcfg = windowing.WindowConfig(sample_period_s=manifest["sample_period_s"])
     windows = np.concatenate(

@@ -3,7 +3,7 @@
 Each subcommand takes only the flags it reads. A JSON config file supplies
 defaults for the RunConfig keys, and a flag overrides its key. ingest, train
 and evaluate take the owner and the sample period from the corpus manifest;
-detect takes the period of its trip.
+scoring reads the models features.json names, at their codebooks' period.
 Exit codes: 0 ok, 1 usage/config, 2 data error, 3 infeasible model.
 """
 
@@ -35,7 +35,7 @@ class RunConfig:
     data_dir: str = "corpus"
     out_dir: str = "out"
     owner: str = "A"  # synth; later steps read the manifest's owner
-    sample_period_s: float = 1.0  # synth: the corpus period; detect: the trip's period
+    sample_period_s: float = 1.0  # synth: the corpus period
     window_s: float = 32.0
     stride_s: float = 16.0
     # an explicit k is strict; None is cluster.DEFAULT_K capped at the distinct segment count
@@ -117,6 +117,16 @@ def select_features(trips: list[TripLog], out_dir: Path) -> list[str]:
     return essential
 
 
+def read_essential(models_dir: str | Path) -> list[str]:
+    """The features ``models_dir/features.json`` names as essential, one model each."""
+    path = Path(models_dir) / "features.json"
+    doc = ingest.read_json(path, DataError)
+    essential = doc.get("essential") if isinstance(doc, dict) else None
+    if not (isinstance(essential, list) and essential and all(isinstance(f, str) for f in essential)):
+        raise DataError(f"{path}: 'essential' must be a non-empty list of feature names")
+    return essential
+
+
 def train_codebooks(
     owner_trips: list[TripLog], essential: list[str], cfg: RunConfig
 ) -> dict[str, Codebook]:
@@ -147,17 +157,12 @@ def train_codebooks(
 def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray:
     """Representative error per (model, detection window) of one trip, rows in ``books`` order.
 
-    A model's verdict on a window is its error > the model's threshold. Trips
-    sampled at another period than the codebooks, with a missing or non-finite
-    sample in a model's feature, or whose windows are too far from the
-    centroids to square their distances, are rejected.
+    A model's verdict on a window is its error > the model's threshold. The
+    trip is taken to be sampled at the codebooks' period. Trips with a missing
+    or non-finite sample in a model's feature, or whose windows are too far
+    from the centroids to square their distances, are rejected.
     """
-    wcfg = next(iter(books.values())).cfg  # load_models makes every book's cfg the same
-    if trip.sample_period_s != wcfg.sample_period_s:
-        raise DataError(
-            f"trip {trip.trip_id} is sampled every {trip.sample_period_s} s, "
-            f"but the codebooks every {wcfg.sample_period_s} s"
-        )
+    dlen = next(iter(books.values())).cfg.detection_len  # load_models makes every cfg the same
     rows = []
     for feature, cb in books.items():
         series = trip.features.get(feature)
@@ -169,7 +174,7 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
             errors = reconstruct.error_series(series, cb)
         except DataError as exc:
             raise DataError(f"trip {trip.trip_id} feature {feature!r}: {exc}") from None
-        rows.append(detect.windows_verdicts(errors, wcfg.detection_len))
+        rows.append(detect.windows_verdicts(errors, dlen))
     return np.stack(rows)
 
 
@@ -201,8 +206,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     features_file = out_dir / "features.json"
     if features_file.exists():
-        doc = ingest.read_json(features_file, DataError)
-        essential = doc.get("essential") if isinstance(doc, dict) else None
+        essential = read_essential(out_dir)
         manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
     else:
         manifest, corpus = load_corpus_trips(cfg.data_dir, SELECTION_ROLES)
@@ -212,8 +216,6 @@ def cmd_train(cfg: RunConfig) -> int:
     owner_trips = [t for e, t in corpus if e["role"] == "train" and e["driver_id"] == owner]
     if not owner_trips:
         raise DataError(f"no training trips for owner {owner!r} in {cfg.data_dir}")
-    if not (isinstance(essential, list) and essential and all(isinstance(f, str) for f in essential)):
-        raise DataError(f"{features_file}: 'essential' must be a non-empty list of feature names")
     absent = [f for f in essential if any(f not in t.features for t in owner_trips)]
     if absent:
         raise DataError(f"{features_file}: owner training trips lack essential features {absent}")
@@ -231,15 +233,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def load_models(models_dir: str | Path) -> dict[str, Codebook]:
-    models_dir = Path(models_dir)
-    books = {}
-    for path in sorted(models_dir.glob("codebook_*.json")):
-        cb = cluster.load_codebook(path)
-        books[cb.feature] = cb
-    if not books:
-        raise DataError(f"no codebooks found in {models_dir}")
-    if len({cb.cfg for cb in books.values()}) > 1:
-        raise DataError(f"codebooks in {models_dir} disagree on their window config")
+    """The codebooks features.json names, by file name; all share one window config and seed."""
+    names = sorted(f"codebook_{feature}.json" for feature in read_essential(models_dir))
+    books = {cb.feature: cb for cb in (cluster.load_codebook(Path(models_dir) / n) for n in names)}
+    if len({(cb.cfg, cb.seed) for cb in books.values()}) > 1:
+        raise DataError(f"codebooks in {models_dir} disagree on their window config or seed")
     return books
 
 
@@ -262,12 +260,12 @@ def load_thresholds(models_dir: str | Path, features: list[str]) -> dict[str, fl
 def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     books = load_models(models_dir)
     thresholds = load_thresholds(models_dir, list(books))
-    trip = ingest.parse_trip(trip_path, cfg.sample_period_s)
+    wcfg = next(iter(books.values())).cfg
+    trip = ingest.parse_trip(trip_path, wcfg.sample_period_s)
     errors = trip_model_verdicts(trip, books)
     theft = errors > np.array([[thresholds[f]] for f in books])
     votes, flagged = detect.ensemble_vote(theft)
-    dlen = next(iter(books.values())).cfg.detection_len
-    starts = range(0, errors.shape[1] * dlen, dlen)
+    starts = range(0, errors.shape[1] * wcfg.detection_len, wcfg.detection_len)
     report: dict = {
         "trip_id": trip.trip_id,
         "models": {},
@@ -296,14 +294,17 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     Returns the report and the ROC curve of every model.
     """
     books = load_models(models_dir)
+    wcfg = next(iter(books.values())).cfg
     # splice trips are a localization demo, not part of the 8:2 validation split
     manifest, val = load_corpus_trips(cfg.data_dir, roles={"val-owner", "val-thief"})
+    if (period := manifest["sample_period_s"]) != wcfg.sample_period_s:
+        raise DataError(f"corpus {cfg.data_dir} is sampled every {period} s, "
+                        f"but the codebooks in {models_dir} every {wcfg.sample_period_s} s")
     if not val:
         raise DataError(f"no validation trips in {cfg.data_dir}")
     owner_count = sum(1 for e, _ in val if e["role"] == "val-owner")
     thief_count = len(val) - owner_count
 
-    dlen = next(iter(books.values())).cfg.detection_len
     trip_errors, trip_labels = [], []
     for entry, trip in val:
         trip_errors.append(trip_model_verdicts(trip, books))
@@ -314,7 +315,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
                 f"for the {trip.length} samples of trip {trip.trip_id}"
             )
         # a window is theft iff most of its samples are: its mean 0/1 label exceeds 0.5
-        window_theft = detect.windows_verdicts(sample_labels, dlen) > 0.5
+        window_theft = detect.windows_verdicts(sample_labels, wcfg.detection_len) > 0.5
         trip_labels.append(window_theft[: trip_errors[-1].shape[1]])
     # one row per model, validation windows in trip order
     errors = np.concatenate(trip_errors, axis=1)
@@ -322,7 +323,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
 
     report: dict = {
         "owner": manifest["owner"],
-        "seed": cfg.seed,
+        "seed": next(iter(books.values())).seed,
         "validation": {"owner_trips": owner_count, "thief_trips": thief_count},
         "models": {},
     }
@@ -450,16 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
 
-    # each subcommand takes only the flags it reads, except `ingest --seed` and
-    # `detect --data`: nothing reads them, but benchmark/workloads.py passes both
+    # each subcommand takes only the flags it reads, except `ingest --seed`, `evaluate --seed`
+    # and `detect --data`: nothing reads them, but benchmark/workloads.py passes all three
     add("synth", "generate the synthetic corpus",
         "--data", "--seed", "--owner", "--sample-period", "--trips", "--duration")
     add("ingest", "pick the essential features", "--data", "--out", "--seed")
     add("train", "train per-feature codebooks on owner trips",
         "--data", "--out", "--seed", "--window", "--stride", "--k", "--restarts")
     add("evaluate", "tune thresholds and compute metrics", "--data", "--out", "--models", "--seed")
-    add("detect", "score one trip against trained models",
-        "--data", "--out", "--models", "--trip", "--sample-period")
+    add("detect", "score one trip against trained models", "--data", "--out", "--models", "--trip")
     add("report", "render the markdown and CSV tables of a report", "--out", "--report")
     return parser
 

@@ -340,7 +340,9 @@ def load_codebook(path: str | Path) -> Codebook:
     """A codebook written by ``save_codebook``; a file that is not JSON, a missing key,
     a feature other than the one the file is named after (``codebook_<feature>.json``),
     trip ids that are not a list of strings, a filter other than hann, a k that is
-    not a positive int or a non-finite number is rejected."""
+    not a positive int, a period, window or stride that is not a number, a length,
+    seed or training count that is not a nonnegative int, or a non-finite number is
+    rejected."""
     doc = read_json(path, DataError)
     if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported codebook format")
@@ -359,10 +361,18 @@ def load_codebook(path: str | Path) -> Codebook:
     trip_ids = meta.get("trip_ids", []) if isinstance(meta, dict) else None
     if not isinstance(trip_ids, list) or not all(isinstance(t, str) for t in trip_ids):
         raise DataError(f"{path}: training_meta must be an object whose trip_ids are strings")
+    for key in ("sample_period_s", "window_s", "stride_s"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+            raise DataError(f"{path}: {key} must be a number, got {doc[key]!r}")
+    counts = {key: doc[key] for key in ("window_len", "stride_len", "seed")}
+    counts.update(segment_count=meta.get("segment_count", 0), iterations=meta.get("iterations", 0))
+    for key, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DataError(f"{path}: {key} must be a nonnegative int, got {value!r}")
     try:
         cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
         centroids = np.array(doc["centroids"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed codebook: {exc}") from exc
     if not np.isfinite(centroids).all():
         raise DataError(f"{path} has non-finite centroid values")
@@ -375,7 +385,7 @@ def load_codebook(path: str | Path) -> Codebook:
         sse=sse,
         cfg=cfg,
         trip_ids=tuple(trip_ids),
-        segment_count=meta.get("segment_count", 0),
-        iterations=meta.get("iterations", 0),
-        seed=doc["seed"],
+        segment_count=counts["segment_count"],
+        iterations=counts["iterations"],
+        seed=counts["seed"],
     )

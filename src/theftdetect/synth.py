@@ -112,8 +112,10 @@ class CorpusConfig:
     splice_trips: int = 1
 
     def __post_init__(self) -> None:
-        if self.owner_train_trips < 1 or self.owner_val_trips < 0 or self.thief_val_trips < 0:
-            raise DataError("trip counts must be positive")
+        for key, least in (("owner_train_trips", 1), ("owner_val_trips", 0), ("thief_val_trips", 0),
+                           ("non_owner_trips", 0), ("splice_trips", 0)):
+            if getattr(self, key) < least:
+                raise DataError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
 
 
 def _write_trip_csv(trip: TripLog, path: Path) -> None:

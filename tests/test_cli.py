@@ -224,11 +224,22 @@ def test_detect_sample_period_mismatch_is_data_error(pipeline, tmp_path, capsys)
     corpus = pipeline / "corpus"
     trip = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-owner")
     out = tmp_path / "out"
-    assert run("detect", "--data", str(corpus), "--models", str(pipeline / "models"),
-               "--out", str(out), "--trip", str(corpus / trip["file"]),
-               "--sample-period", "2") == EXIT_DATA
-    assert "every 2.0 s, but the codebooks every 1.0 s" in capsys.readouterr().err
-    assert not list(out.glob("detection_*.json"))
+    # detect parses its trip at the codebooks' period (1 s), so a timestamp column
+    # stepping by 2 s is rejected and one stepping by 1 s is accepted
+    header, *rows = list(csv.reader((corpus / trip["file"]).read_text().splitlines()))
+    for step in (2, 1):
+        stamped = tmp_path / f"step{step}" / "A_stamped.csv"
+        stamped.parent.mkdir()
+        with open(stamped, "w", newline="") as fh:
+            csv.writer(fh).writerows([["timestamp", *header]]
+                                     + [[str(i * step), *row] for i, row in enumerate(rows)])
+        args = ("detect", "--models", str(pipeline / "models"), "--out", str(out / f"step{step}"),
+                "--trip", str(stamped))
+        assert run(*args) == (EXIT_DATA if step == 2 else EXIT_OK)
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'step2' / 'A_stamped.csv'}: timestamp column")
+    assert not (out / "step2").exists()
+    assert (out / "step1" / "detection_A_stamped.json").exists()
 
     # evaluate reads the corpus period from its manifest
     shutil.copytree(corpus, tmp_path / "corpus")
@@ -241,15 +252,19 @@ def test_detect_sample_period_mismatch_is_data_error(pipeline, tmp_path, capsys)
 
 
 def test_four_models_vote_majority_3_of_4(pipeline, tmp_path):
+    """features.json names the models: a codebook it does not name is left out of the vote."""
     models = tmp_path / "models"
     shutil.copytree(pipeline / "models", models)
-    sorted(models.glob("codebook_*.json"))[0].unlink()
+    doc = json.loads((models / "features.json").read_text())
+    stale = sorted(models.glob("codebook_*.json"))[0].stem.removeprefix("codebook_")
+    doc["essential"].remove(stale)
+    (models / "features.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
     corpus = pipeline / "corpus"
     assert run("evaluate", "--data", str(corpus), "--models", str(models),
                "--out", str(out), "--seed", "11") == EXIT_OK
     report = json.loads((out / "report.json").read_text())
-    assert len(report["models"]) == 4
+    assert len(report["models"]) == 4 and stale not in report["models"]
     assert report["ensemble"]["rule"] == "majority 3 of 4"
     assert "| Ensemble | majority 3 of 4 |" in (out / "report.md").read_text()
 
@@ -257,7 +272,7 @@ def test_four_models_vote_majority_3_of_4(pipeline, tmp_path):
     assert run("detect", "--data", str(corpus), "--models", str(models),
                "--out", str(out), "--trip", str(corpus / trip["file"])) == EXIT_OK
     doc = json.loads((out / f"detection_{trip['trip_id']}.json").read_text())
-    assert len(doc["models"]) == 4
+    assert len(doc["models"]) == 4 and stale not in doc["models"]
     for i, window in enumerate(doc["ensemble"]):
         votes = sum(m["verdicts"][i]["is_theft"] for m in doc["models"].values())
         assert window["theft_votes"] == votes
@@ -432,7 +447,7 @@ def test_config_value_types_accepted(pipeline, tmp_path):
     ("train", ["--stride", "-1"], None),
     ("synth", ["--duration", "nan"], None),
     ("synth", ["--trips", "0"], None),
-    ("detect", ["--sample-period", "0"], None),
+    ("detect", [], {"sample_period_s": 0}),
     ("synth", ["--seed", "-1"], None),
     ("train", ["--seed", "-1"], None),
 ], ids=["restarts-0", "config-restarts", "synth-period-0", "config-window-nan", "window-nan",
@@ -465,8 +480,20 @@ def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command
     lambda doc: doc.update(sse=math.nan),
     lambda doc: doc.update(sse=math.inf),
     lambda doc: doc.update(filter_name="triangular"),
+    lambda doc: doc.update(sample_period_s=True),
+    lambda doc: doc.update(window_s="32"),
+    lambda doc: doc.update(stride_s=None),
+    lambda doc: doc.update(window_s=10 ** 400),
+    lambda doc: doc.update(window_len=float(doc["window_len"])),
+    lambda doc: doc.update(stride_len=True),
+    lambda doc: doc.update(seed=-1),
+    lambda doc: doc.update(seed=7.0),
+    lambda doc: doc["training_meta"].update(segment_count="many"),
+    lambda doc: doc["training_meta"].update(iterations=-3),
 ], ids=["no-sse", "no-window-len", "no-training-meta", "k-float", "centroid-nan", "sse-nan",
-        "sse-inf", "filter-triangular"])
+        "sse-inf", "filter-triangular", "period-bool", "window-string", "stride-null",
+        "window-huge-int", "window-len-float", "stride-len-bool", "seed-negative", "seed-float",
+        "segment-count-string", "iterations-negative"])
 def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
     models = tmp_path / "models"
     shutil.copytree(pipeline / "models", models)
@@ -687,13 +714,14 @@ def test_subcommand_flags():
         "ingest": {"--data", "--out", "--seed"},
         "train": {"--data", "--out", "--seed", "--window", "--stride", "--k", "--restarts"},
         "evaluate": {"--data", "--out", "--models", "--seed"},
-        "detect": {"--data", "--out", "--models", "--trip", "--sample-period"},
+        "detect": {"--data", "--out", "--models", "--trip"},
         "report": {"--out", "--report"},
     }
 
 
 @pytest.mark.parametrize("command, flag", [
     ("train", ["--sample-period", "2"]),
+    ("detect", ["--sample-period", "2"]),
     ("train", ["--owner", "B"]),
     ("report", ["--k", "5"]),
     ("evaluate", ["--window", "64"]),
@@ -704,8 +732,11 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(pipeline, tmp_path, co
     (models / "thresholds.json").unlink()
     before = sorted(p.name for p in models.iterdir())
     out = str(tmp_path / "out")
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
     args = {
         "train": ["--data", str(pipeline / "corpus"), "--out", out, "--k", "40", "--restarts", "2"],
+        "detect": ["--models", str(pipeline / "models"), "--out", out,
+                   "--trip", str(pipeline / "corpus" / trip["file"])],
         "evaluate": ["--data", str(pipeline / "corpus"), "--models", str(models), "--out", out],
         "report": ["--out", out, "--report", str(pipeline / "out" / "report.json")],
     }[command]
@@ -727,11 +758,51 @@ def test_two_second_corpus_end_to_end(tmp_path):
         assert (doc["sample_period_s"], doc["window_len"], doc["stride_len"]) == (2.0, 16, 8)
     assert run("evaluate", "--data", corpus, "--models", models, "--out", out) == EXIT_OK
     splice = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-splice")
-    assert run("detect", "--models", models, "--out", out, "--sample-period", "2",
+    assert run("detect", "--models", models, "--out", out,
                "--trip", str(Path(corpus) / splice["file"])) == EXIT_OK
     doc = json.loads((Path(out) / f"detection_{splice['trip_id']}.json").read_text())
     # 120 samples make 7 detection windows of 32 s = 16 samples
     assert [w["window_start"] for w in doc["ensemble"]] == list(range(0, 7 * 16, 16))
+
+
+def test_report_seed_is_the_codebooks_seed(pipeline, tmp_path):
+    corpus, models = str(pipeline / "corpus"), str(tmp_path / "models")
+    assert run("train", "--data", corpus, "--out", models, "--seed", "3", "--k", "10",
+               "--restarts", "1") == EXIT_OK
+    for seed_flag in ([], ["--seed", "99"]):
+        out = tmp_path / f"out{len(seed_flag)}"
+        assert run("evaluate", "--data", corpus, "--models", models, "--out", str(out),
+                   *seed_flag) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["seed"] == 3
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_codebooks_disagreeing_on_seed_is_data_error(pipeline, tmp_path, capsys, command):
+    models, out = tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "models", models)
+    path = sorted(models.glob("codebook_*.json"))[-1]
+    path.write_text(json.dumps({**json.loads(path.read_text()), "seed": 12}))
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    args = {"detect": ["--trip", str(pipeline / "corpus" / trip["file"])],
+            "evaluate": ["--data", str(pipeline / "corpus")]}[command]
+    assert run(command, "--models", str(models), "--out", str(out), *args) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: codebooks in {models} disagree on their window config or seed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_models_dir_without_features_file_is_data_error(pipeline, tmp_path, capsys, command):
+    models, out = tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "models", models)
+    (models / "features.json").unlink()
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    args = {"detect": ["--trip", str(pipeline / "corpus" / trip["file"])],
+            "evaluate": ["--data", str(pipeline / "corpus")]}[command]
+    assert run(command, "--models", str(models), "--out", str(out), *args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {models / 'features.json'}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["sample_period_s", "owner"])

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from theftdetect.cli import EXIT_OK, main
 from theftdetect.synth import load_manifest
 
@@ -27,6 +29,25 @@ def test_elbow_experiment_smoke(tmp_path, capsys):
         assert lines[0] == "12 training windows for transmission_oil_temperature"
         assert [int(line[2:6]) for line in lines[1:]] == [1, 3, 5]
         assert sum("<- recommended" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--feature", "no_such_feature"], "--feature 'no_such_feature' is not a feature"),
+    (["--k-max", "0"], "--k-max must be at least 1, got 0"),
+    (["--step", "0"], "--step must be at least 1, got 0"),
+    (["--step", "-2"], "--step must be at least 1, got -2"),
+], ids=["unknown-feature", "k-max-0", "step-0", "step-negative"])
+def test_elbow_experiment_argument_errors(tmp_path, capsys, flags, message):
+    """A bad argument is a usage error naming the value, not a traceback."""
+    elbow = load_script("elbow_experiment")
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--data", str(corpus), "--seed", "3", "--trips", "1",
+                 "--duration", "64"]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        elbow.main([str(corpus), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_pipeline_smoke(tmp_path, capsys):

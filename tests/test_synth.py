@@ -43,6 +43,25 @@ def test_duration_shorter_than_window(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("owner_train_trips", 0, 1),
+    ("owner_val_trips", -1, 0),
+    ("thief_val_trips", -1, 0),
+    ("non_owner_trips", -2, 0),
+    ("splice_trips", -1, 0),
+])
+def test_negative_trip_count_is_rejected(tmp_path, field, value, least):
+    with pytest.raises(DataError, match=f"^{field} must be at least {least}, got {value}$"):
+        write_corpus(tmp_path / "c", CorpusConfig(**{field: value}))
+    assert not (tmp_path / "c").exists()
+
+
+def test_zero_optional_trip_counts_are_accepted(tmp_path):
+    cfg = CorpusConfig(duration_s=64.0, owner_train_trips=1, owner_val_trips=0, thief_val_trips=0,
+                       non_owner_trips=0, splice_trips=0)
+    assert [t["role"] for t in write_corpus(tmp_path / "c", cfg)["trips"]] == ["train"]
+
+
 def test_separated_bases_separate_catalog_means():
     # bases 5+ noise scales apart must yield per-driver means 4+ pooled stds apart
     (mean_a, std_a), (mean_b, std_b) = (
