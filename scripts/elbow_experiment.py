@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from theftdetect import cli, cluster, windowing
+from theftdetect import DataError, cli, cluster, windowing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,7 +26,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.step < 1:
         parser.error(f"--step must be at least 1, got {args.step}")
 
-    manifest, corpus = cli.load_corpus_trips(args.corpus_dir, roles={"train"})
+    try:
+        manifest, corpus = cli.load_corpus_trips(args.corpus_dir, roles={"train"})
+        if not corpus:
+            raise DataError(f"no training trips in {args.corpus_dir}")
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return cli.EXIT_DATA
     if any(args.feature not in trip.features for _, trip in corpus):
         parser.error(f"--feature {args.feature!r} is not a feature of every training trip")
     # the default 32 s window and 16 s stride, at the corpus's own sample period

@@ -47,7 +47,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for key in ("sample_period_s", "window_s", "stride_s", "duration_s"):
-            if not 0 < getattr(self, key) < math.inf:
+            # an int beyond the largest double passes `< math.inf` but converts to no float
+            if not 0 < getattr(self, key) <= sys.float_info.max:
                 raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
         for key, least in (("restarts", 1), ("trips_per_driver", 1), ("seed", 0)):
             if getattr(self, key) < least:
@@ -225,6 +226,12 @@ def cmd_train(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     books = train_codebooks(owner_trips, essential, cfg)
+    # thresholds tuned for the codebooks being replaced must not score the new ones
+    thresholds_file = out_dir / "thresholds.json"
+    try:
+        thresholds_file.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot remove {thresholds_file}: {exc.strerror}") from None
     for feature, cb in books.items():
         path = out_dir / f"codebook_{feature}.json"
         cluster.save_codebook(cb, path)

@@ -13,8 +13,13 @@ Nearest-centroid search (``_assign_all``, the hot loop of Lloyd's iterations
 and of scoring) ranks centroids by one BLAS product per block of rows and
 recomputes exact differences only for those a rounding bound cannot rule
 out, so its labels and squared distances equal the exact search's bit for
-bit. Lloyd's update sums each cluster's rows as one contiguous slice of the
-label-sorted matrix, in the order ``x[labels == j].mean(axis=0)`` does.
+bit. k-means++ seeding (``_plusplus_init``) prunes the same way: one BLAS
+product per seed bounds every row's distance to it, and only rows the new
+seed might bring closer are recomputed exactly. Its draws are those of
+``rng.choice`` over exact distances, and Lloyd's iterations start from the
+assignment it leaves, the exact search's against the seeds. Lloyd's update
+sums each cluster's rows as one contiguous slice of the label-sorted matrix,
+in the order ``x[labels == j].mean(axis=0)`` does.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ _CODEBOOK_KEYS = (
 # rows per block in _assign_all: each of a block's temporaries holds rows * k
 # floats (154 kB at k=300), so they and BLAS's packing buffers stay cache-sized
 ASSIGN_CHUNK = 64
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -90,20 +96,67 @@ def _check_span(*matrices: np.ndarray, count: int = 1) -> None:
         raise DataError("window values are not finite or span too wide a range for squared distances")
 
 
-def _plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(x)
-    centroids = np.empty((k, x.shape[1]))
+def _slack(nx: np.ndarray, nc_max: float, length: int) -> np.ndarray:
+    """Per-row rounding slack ``(8d + 32) (eps (nx_i + nc_max) + 2^-1074)`` of the
+    expanded squared distances, derived in ``_assign_all``; infinite for a row whose
+    ``nx_i + nc_max`` exceeds a sixteenth of the largest double, so that it keeps
+    every centroid and no step of the expansion can overflow unnoticed."""
+    slack = (8 * length + 32) * (_FLOAT.eps * (nx + nc_max) + _FLOAT.smallest_subnormal)
+    slack[~(nx <= _FLOAT.max / 16 - nc_max)] = np.inf
+    return slack
+
+
+def _plusplus_init(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007) and the exact search's
+    ``(labels, d2)`` of every row against them.
+
+    Each seed after the first is row ``i`` with probability ``d2_i / sum(d2)``,
+    drawn as ``rng.choice(n, p=d2 / sum(d2))`` does: one ``rng.random()``
+    searched in the normalised cumulative sum. ``d2_i`` is the exact search's
+    squared distance ``((x_i - c) ** 2).sum()`` to the nearest seed so far,
+    lowered only on a strict decrease, so ties keep the lowest index.
+
+    A new seed ``c = x_s`` can lower ``d2_i`` only where ``d2_i`` exceeds its
+    exact distance to ``c``, and only those rows are recomputed exactly. With
+    ``x' = fl(x - r)`` centred on the midpoint ``r`` of the rows' bounding box
+    and ``nx = ||x'||^2``, one product gives ``a_i = nx_i + nx_s - 2 x'_i . x'_s``.
+    ``c`` is a row, so its ``nc`` is ``nx_s <= max nx``, and ``_assign_all``'s
+    bound gives ``|a_i - d2_new_i| <= e_i``, about (4d + 16) u (nx_i + max nx)
+    with u = 2^-53. The slack ``s_i = (8d + 32) (eps (nx_i + max nx) + 2^-1074)``
+    is 4 e_i. A row is skipped only when ``a_i > fl(d2_i + s_i)``; then
+    ``d2_new_i >= a_i - e_i > d2_i + s_i - e_i - u (d2_i + s_i) >= d2_i``, as
+    ``d2_i <= 2 (nx_i + max nx)`` keeps that rounding under 3 u (nx_i + max nx),
+    far below the 3 e_i to spare. A row whose ``nx_i + max nx`` exceeds a
+    sixteenth of the largest double, or whose ``a_i`` is NaN, is always recomputed.
+    """
+    n, length = x.shape
+    centroids = np.empty((k, length))
     centroids[0] = x[rng.integers(n)]
+    labels = np.zeros(n, dtype=np.intp)
     d2 = np.sum((x - centroids[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[j] = x[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=d2 / total)
-        centroids[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
-    return centroids
+    xc = x - (0.5 * x.min(axis=0) + 0.5 * x.max(axis=0))
+    nx = np.einsum("ij,ij->i", xc, xc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = _slack(nx, nx.max(), length)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centroids[j] = x[rng.integers(n)]
+                continue
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
+            centroids[j] = x[idx]
+            approx = xc @ (-2.0 * xc[idx])
+            approx += nx + nx[idx]
+            rows = np.flatnonzero(~(approx > d2 + slack))
+            exact = np.sum((x[rows] - centroids[j]) ** 2, axis=1)
+            lower = exact < d2[rows]
+            d2[rows[lower]] = exact[lower]
+            labels[rows[lower]] = j
+    return centroids, labels, d2
 
 
 def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +212,6 @@ def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     cc = centroids - ref
     nc = np.einsum("ij,ij->i", cc, cc)
     nc_max = nc.max()
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    # a row with a larger nx_i keeps every centroid
-    nx_limit = np.finfo(float).max / 16 - nc_max
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, ASSIGN_CHUNK):
             hi = min(lo + ASSIGN_CHUNK, n)
@@ -171,8 +221,7 @@ def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
             approx *= -2.0
             approx += nx[:, None]
             approx += nc
-            slack = (8 * length + 32) * (eps * (nx + nc_max) + tiny)
-            slack[~(nx <= nx_limit)] = np.inf
+            slack = _slack(nx, nc_max, length)
             # NaN compares false, so a row whose bound is NaN keeps every centroid
             rows, cols = np.nonzero(~(approx > (approx.min(axis=1) + slack)[:, None]))
             exact = ((x[lo + rows] - centroids[cols]) ** 2).sum(axis=1)
@@ -189,20 +238,22 @@ def _assign_all(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
 def lloyd(
     x: np.ndarray,
     init_centroids: np.ndarray,
+    labels: np.ndarray,
+    d2: np.ndarray,
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
-    """Run Lloyd's iterations.
+    """Run Lloyd's iterations from ``init_centroids`` and ``(labels, d2)``, the exact
+    search's assignment of ``x`` to them, which ``_plusplus_init`` returns.
 
     Returns (centroids, labels, sse, iterations, sse_trace) where sse_trace
-    holds the SSE after the initial assignment and after each iteration.
+    holds the SSE of the initial assignment and after each iteration.
     Each update sorts the rows by label once, with a stable sort, so that a
     cluster's members are one contiguous slice in row order and its mean
     sums them exactly as ``x[labels == j].mean(axis=0)`` would.
     """
     centroids = init_centroids.copy()
     k = len(centroids)
-    labels, d2 = _assign_all(x, centroids)
     trace = [float(d2.sum())]
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -255,8 +306,8 @@ def kmeans_fit(
     best: tuple[np.ndarray, float, int] | None = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        init = _plusplus_init(x, k, rng)
-        centroids, _, sse, iterations, _ = lloyd(x, init, DEFAULT_MAX_ITER, DEFAULT_TOL)
+        seeded = _plusplus_init(x, k, rng)
+        centroids, _, sse, iterations, _ = lloyd(x, *seeded, DEFAULT_MAX_ITER, DEFAULT_TOL)
         if best is None or sse < best[1]:
             best = (centroids, sse, iterations)
     return best

@@ -96,7 +96,9 @@ def test_kmeans_properties_1000_segments():
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1000, 16))
         init = x[rng.choice(1000, 12, replace=False)]
-        centroids, labels, _, _, trace = cluster.lloyd(x, init, max_iter=200, tol=0.0)
+        centroids, labels, _, _, trace = cluster.lloyd(
+            x, init, *cluster._assign_all(x, init), max_iter=200, tol=0.0
+        )
         assert all(a >= b for a, b in zip(trace, trace[1:])), "SSE increased"
         for i in range(1000):
             d2 = ((centroids - x[i]) ** 2).sum(axis=1)

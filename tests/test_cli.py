@@ -93,6 +93,35 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
         assert path.read_bytes() == (tmp_path / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("stale", ["file", "directory"])
+def test_retrain_removes_stale_thresholds(pipeline, tmp_path, capsys, stale):
+    """Retraining deletes thresholds.json, so detect asks for `evaluate` instead of
+    scoring the new codebooks with the old thresholds; one that cannot be removed
+    is a data error before any codebook is rewritten."""
+    models, out = tmp_path / "models", tmp_path / "out"
+    shutil.copytree(pipeline / "models", models)
+    thresholds = models / "thresholds.json"
+    if stale == "directory":
+        thresholds.unlink()
+        thresholds.mkdir()
+    books = {p.name: p.read_bytes() for p in models.glob("codebook_*.json")}
+    code = run("train", "--data", str(pipeline / "corpus"), "--out", str(models),
+               "--k", "3", "--restarts", "1")
+    if stale == "directory":
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: cannot remove {thresholds}")
+        assert {p.name: p.read_bytes() for p in models.glob("codebook_*.json")} == books
+        return
+    assert code == EXIT_OK
+    assert not thresholds.exists()
+    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    capsys.readouterr()
+    assert run("detect", "--models", str(models), "--out", str(out),
+               "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_USAGE
+    assert "run `evaluate` first" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_outputs(pipeline):
     out = pipeline / "out"
     report = json.loads((out / "report.json").read_text())
@@ -450,9 +479,10 @@ def test_config_value_types_accepted(pipeline, tmp_path):
     ("detect", [], {"sample_period_s": 0}),
     ("synth", ["--seed", "-1"], None),
     ("train", ["--seed", "-1"], None),
+    ("train", [], {"window_s": 10 ** 400}),
 ], ids=["restarts-0", "config-restarts", "synth-period-0", "config-window-nan", "window-nan",
         "stride-negative", "duration-nan", "trips-0", "detect-period-0", "synth-seed-negative",
-        "train-seed-negative"])
+        "train-seed-negative", "config-window-huge-int"])
 def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command, flags, doc):
     out = tmp_path / "out"
     config = []

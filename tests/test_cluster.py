@@ -10,6 +10,7 @@ from theftdetect import DataError, InfeasibleKError
 from theftdetect.cluster import (
     ASSIGN_CHUNK,
     _assign_all,
+    _plusplus_init,
     assign,
     elbow_sweep,
     kmeans_fit,
@@ -142,7 +143,7 @@ def test_lloyd_sse_non_increasing_and_converged_invariants():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(200, 8))
     init = x[rng.choice(200, 10, replace=False)]
-    centroids, labels, sse, _, trace = lloyd(x, init, max_iter=100, tol=0.0)
+    centroids, labels, sse, _, trace = lloyd(x, init, *_assign_all(x, init), max_iter=100, tol=0.0)
     assert all(a >= b for a, b in zip(trace, trace[1:]))
     # converged assignments are nearest-centroid
     for i in range(len(x)):
@@ -300,10 +301,45 @@ def test_lloyd_matches_mask_lloyd_bit_for_bit(n, d, k, duplicates, max_iter, tol
     init = x[rng.choice(n, k, replace=False)]
     for j in rng.choice(k, min(duplicates, k - 1), replace=False):
         init[j] = init[0] if j else init[-1]
-    got, want = lloyd(x, init, max_iter, tol), mask_lloyd(x, init, max_iter, tol)
+    got = lloyd(x, init, *exact_search(x, init), max_iter, tol)
+    want = mask_lloyd(x, init, max_iter, tol)
     assert got[0].tobytes() == want[0].tobytes()
     np.testing.assert_array_equal(got[1], want[1])
     assert got[2:] == want[2:]
+
+
+def choice_plusplus_init(x, k, rng):
+    """The reference seeding: ``rng.choice`` over exact differences to every row at each step."""
+    n = len(x)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = x[rng.integers(n)]
+            continue
+        idx = rng.choice(n, p=d2 / total)
+        centroids[j] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases(), seed=st.integers(0, 2**32 - 1))
+def test_plusplus_init_matches_choice_seeding_bit_for_bit(case, seed):
+    """Same seeds, the exact search's assignment against them, and the generator
+    left in the same state; the case's centroids only set k (at most the row count)."""
+    x, c = case
+    k = min(len(c), len(x))
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centroids, labels, d2 = _plusplus_init(x, k, rng)
+    want = choice_plusplus_init(x, k, want_rng)
+    assert centroids.tobytes() == want.tobytes()
+    want_labels, want_d2 = exact_search(x, centroids)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert d2.tobytes() == want_d2.tobytes()
+    assert rng.random() == want_rng.random()
 
 
 def test_assign_rejects_windows_too_far_to_square():

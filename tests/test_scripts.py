@@ -1,9 +1,10 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from theftdetect.cli import EXIT_OK, main
+from theftdetect.cli import EXIT_DATA, EXIT_OK, main
 from theftdetect.synth import load_manifest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -48,6 +49,24 @@ def test_elbow_experiment_argument_errors(tmp_path, capsys, flags, message):
         elbow.main([str(corpus), *flags])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing-corpus", "no-train-trips"])
+def test_elbow_experiment_bad_corpus_is_data_error(tmp_path, capsys, case):
+    """A corpus that cannot be read, or lists no training trip, exits 2 naming its
+    directory, not with a traceback."""
+    elbow = load_script("elbow_experiment")
+    corpus = tmp_path / "corpus"
+    if case == "no-train-trips":
+        assert main(["synth", "--data", str(corpus), "--seed", "3", "--trips", "1",
+                     "--duration", "64"]) == EXIT_OK
+        manifest = load_manifest(corpus)
+        manifest["trips"] = [t for t in manifest["trips"] if t["role"] != "train"]
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+    assert elbow.main([str(corpus)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(corpus) in err
 
 
 def test_run_pipeline_smoke(tmp_path, capsys):
