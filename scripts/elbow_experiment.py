@@ -8,8 +8,6 @@ Usage: python scripts/elbow_experiment.py <corpus_dir> [--feature NAME]
 import argparse
 import sys
 
-import numpy as np
-
 from theftdetect import DataError, cli, cluster, windowing
 
 
@@ -30,20 +28,18 @@ def main(argv: list[str] | None = None) -> int:
         manifest, corpus = cli.load_corpus_trips(args.corpus_dir, roles={"train"})
         if not corpus:
             raise DataError(f"no training trips in {args.corpus_dir}")
+        trips = [trip for _, trip in corpus]
+        if any(args.feature not in trip.features for trip in trips):
+            parser.error(f"--feature {args.feature!r} is not a feature of every training trip")
+        # the default 32 s window and 16 s stride, at the corpus's own sample period
+        wcfg = windowing.WindowConfig(sample_period_s=manifest["sample_period_s"])
+        windows = cli.feature_windows(trips, args.feature, wcfg)
+        print(f"{len(windows)} training windows for {args.feature}")
+        k_values = list(range(1, min(args.k_max, len(windows)) + 1, args.step))
+        curve = cluster.elbow_sweep(windows, k_values, seed=args.seed, restarts=3)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return cli.EXIT_DATA
-    if any(args.feature not in trip.features for _, trip in corpus):
-        parser.error(f"--feature {args.feature!r} is not a feature of every training trip")
-    # the default 32 s window and 16 s stride, at the corpus's own sample period
-    wcfg = windowing.WindowConfig(sample_period_s=manifest["sample_period_s"])
-    windows = np.concatenate(
-        [windowing.slide_highlighted(trip.features[args.feature], wcfg) for _, trip in corpus]
-    )
-    print(f"{len(windows)} training windows for {args.feature}")
-
-    k_values = list(range(1, min(args.k_max, len(windows)) + 1, args.step))
-    curve = cluster.elbow_sweep(windows, k_values, seed=args.seed, restarts=3)
     for k, sse in curve.points:
         marker = "  <- recommended" if k == curve.recommended_k else ""
         print(f"k={k:4d}  sse={sse:14.4f}{marker}")

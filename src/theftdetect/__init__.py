@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 
 class ConfigError(Exception):
-    """A bad setting, config file or thresholds file: exit 1."""
+    """A bad flag value or thresholds file: exit 1."""
 
 
 class DataError(Exception):

@@ -1,9 +1,9 @@
 """Command-line pipeline: synth | ingest | train | detect | evaluate | report.
 
-Each subcommand takes only the flags it reads. A JSON config file supplies
-defaults for the RunConfig keys, and a flag overrides its key. ingest, train
-and evaluate take the owner and the sample period from the corpus manifest;
-scoring reads the models features.json names, at their codebooks' period.
+Each subcommand takes only the flags it reads, and its flags are its only
+settings; RunConfig range-checks them. ingest, train and evaluate take the
+owner and the sample period from the corpus manifest; scoring reads the
+models features.json names, at their codebooks' period.
 Exit codes: 0 ok, 1 usage/config, 2 data error, 3 infeasible model.
 """
 
@@ -47,35 +47,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for key in ("sample_period_s", "window_s", "stride_s", "duration_s"):
-            # an int beyond the largest double passes `< math.inf` but converts to no float
             if not 0 < getattr(self, key) <= sys.float_info.max:
                 raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)!r}")
         for key, least in (("restarts", 1), ("trips_per_driver", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
-
-
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
-# the JSON values a config key takes, by its RunConfig annotation; a bool is never a number
-_JSON_TYPES = {"str": str, "float": (int, float), "int": int, "int | None": (int, type(None))}
-
-
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    values: dict = {}
-    if path:
-        doc = ingest.read_json(path, ConfigError)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            kind = RunConfig.__dataclass_fields__[key].type
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-        values.update(doc)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values)
 
 
 # --- pipeline helpers --------------------------------------------------------
@@ -128,20 +104,32 @@ def read_essential(models_dir: str | Path) -> list[str]:
     return essential
 
 
+def feature_windows(trips: list[TripLog], feature: str, wcfg: WindowConfig) -> np.ndarray:
+    """The highlighted window matrices of ``feature`` over ``trips``, stacked in trip
+    order; a non-finite sample, or a trip shorter than one window, is a data error
+    naming the trip and the feature."""
+    matrices = []
+    for trip in trips:
+        try:
+            if not np.isfinite(trip.features[feature]).all():
+                raise DataError("non-finite samples")
+            matrices.append(windowing.slide_highlighted(trip.features[feature], wcfg))
+        except DataError as exc:
+            raise DataError(f"trip {trip.trip_id} feature {feature!r}: {exc}") from None
+    return np.concatenate(matrices)
+
+
 def train_codebooks(
     owner_trips: list[TripLog], essential: list[str], cfg: RunConfig
 ) -> dict[str, Codebook]:
-    """One codebook per essential feature, windowed at the trips' sample period; a
-    non-finite sample, or windows too wide to cluster, is a data error naming the feature."""
+    """One codebook per essential feature, windowed at the trips' sample period; bad
+    windows (``feature_windows``), or windows too wide to cluster, are a data error
+    naming the feature."""
     wcfg = WindowConfig(owner_trips[0].sample_period_s, cfg.window_s, cfg.stride_s)
     books: dict[str, Codebook] = {}
     trip_ids = tuple(t.trip_id for t in owner_trips)
     for feature in essential:
-        if bad := [t.trip_id for t in owner_trips if not np.isfinite(t.features[feature]).all()]:
-            raise DataError(f"owner training trip {bad[0]} has non-finite {feature!r} samples")
-        windows = np.concatenate(
-            [windowing.slide_highlighted(trip.features[feature], wcfg) for trip in owner_trips]
-        )
+        windows = feature_windows(owner_trips, feature, wcfg)
         try:
             centroids, sse, iterations = cluster.kmeans_fit(windows, cfg.k, cfg.seed, cfg.restarts)
         except InfeasibleKError:
@@ -149,7 +137,7 @@ def train_codebooks(
         except DataError as exc:
             raise DataError(f"feature {feature!r}: {exc}") from None
         books[feature] = Codebook(
-            feature=feature, k=len(centroids), centroids=centroids, sse=sse, cfg=wcfg,
+            feature=feature, centroids=centroids, sse=sse, cfg=wcfg,
             trip_ids=trip_ids, segment_count=len(windows), iterations=iterations, seed=cfg.seed,
         )
     return books
@@ -172,10 +160,9 @@ def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray
         if not np.isfinite(series).all():
             raise DataError(f"trip {trip.trip_id} has non-finite {feature!r} samples")
         try:
-            errors = reconstruct.error_series(series, cb)
+            rows.append(detect.windows_verdicts(reconstruct.error_series(series, cb), dlen))
         except DataError as exc:
             raise DataError(f"trip {trip.trip_id} feature {feature!r}: {exc}") from None
-        rows.append(detect.windows_verdicts(errors, dlen))
     return np.stack(rows)
 
 
@@ -235,7 +222,7 @@ def cmd_train(cfg: RunConfig) -> int:
     for feature, cb in books.items():
         path = out_dir / f"codebook_{feature}.json"
         cluster.save_codebook(cb, path)
-        print(f"wrote {path} (k={cb.k}, sse={cb.sse:.6g})")
+        print(f"wrote {path} (k={len(cb.centroids)}, sse={cb.sse:.6g})")
     return EXIT_OK
 
 
@@ -425,8 +412,7 @@ def cmd_report(cfg: RunConfig, report_path: str) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-# add_argument keywords per flag; a flag whose dest is a RunConfig field
-# overrides that config key
+# add_argument keywords per flag; a flag whose dest is a RunConfig field sets it
 _FLAGS: dict[str, dict] = {
     "--data": {"dest": "data_dir"},
     "--out": {"dest": "out_dir"},
@@ -450,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="theftdetect",
         description="Owner-only automobile theft detection pipeline",
     )
-    parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(command: str, help_text: str, *flags: str) -> None:
@@ -477,9 +462,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = RunConfig(**{k: v for k, v in vars(args).items()
+                           if k in RunConfig.__dataclass_fields__ and v is not None})
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "ingest":

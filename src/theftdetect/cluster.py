@@ -7,7 +7,7 @@ Lloyd's iterations from distance-weighted (k-means++ style) seeding.
 farthest from the chord. ``assign`` maps every row of a window matrix to its
 nearest centroid in one batched pass. A ``Codebook`` is one feature's
 centroids with their window config and training metadata, persisted as
-versioned JSON.
+versioned JSON that stores nothing it can derive.
 
 Nearest-centroid search (``_assign_all``, the hot loop of Lloyd's iterations
 and of scoring) ranks centroids by one BLAS product per block of rows and
@@ -24,7 +24,6 @@ in the order ``x[labels == j].mean(axis=0)`` does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,20 +31,19 @@ from pathlib import Path
 import numpy as np
 
 from . import DataError, InfeasibleKError
-from .ingest import read_json, write_file
+from .ingest import read_json, write_json
 from .windowing import WindowConfig
 
-CODEBOOK_FORMAT_VERSION = 1
+CODEBOOK_FORMAT_VERSION = 2
 
 DEFAULT_K = 300  # operating point used on the original four-driver data
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 5
-# the keys save_codebook writes, less format_version (checked first) and
-# trained_at (always null)
+# the keys save_codebook writes, less format_version (checked first); a version 1
+# file also holds k, window_len, stride_len, filter_name and trained_at, all ignored
 _CODEBOOK_KEYS = (
-    "feature", "k", "window_len", "stride_len", "sample_period_s", "window_s", "stride_s",
-    "filter_name", "centroids", "sse", "seed", "training_meta",
+    "feature", "sample_period_s", "window_s", "stride_s", "centroids", "sse", "seed", "training_meta",
 )
 # rows per block in _assign_all: each of a block's temporaries holds rows * k
 # floats (154 kB at k=300), so they and BLAS's packing buffers stay cache-sized
@@ -58,8 +56,7 @@ class Codebook:
     """Trained centroids representing one feature's trusted driving patterns."""
 
     feature: str
-    k: int
-    centroids: np.ndarray  # shape (k, window_len)
+    centroids: np.ndarray  # shape (k, window_len), k >= 1
     sse: float
     cfg: WindowConfig
     trip_ids: tuple[str, ...]
@@ -68,10 +65,9 @@ class Codebook:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.centroids.shape != (self.k, self.cfg.window_len):
+        if self.centroids.shape[1:] != (self.cfg.window_len,) or not len(self.centroids):
             raise DataError(
-                f"centroid array {self.centroids.shape} does not match "
-                f"(k={self.k}, window_len={self.cfg.window_len})"
+                f"centroid array {self.centroids.shape} is not (k, window_len={self.cfg.window_len})"
             )
         if self.sse < 0:
             raise DataError("sse must be nonnegative")
@@ -359,54 +355,42 @@ def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Persist as versioned JSON; float serialization round-trips exactly.
-
-    ``trained_at`` is always null: runs are deterministic, so none is recorded.
-    """
+    """Persist as versioned JSON; float serialization round-trips exactly."""
     doc = {
         "format_version": CODEBOOK_FORMAT_VERSION,
         "feature": cb.feature,
-        "k": cb.k,
-        "window_len": cb.cfg.window_len,
-        "stride_len": cb.cfg.stride_len,
         "sample_period_s": cb.cfg.sample_period_s,
         "window_s": cb.cfg.window_s,
         "stride_s": cb.cfg.stride_s,
-        "filter_name": "hann",
         "centroids": cb.centroids.tolist(),
         "sse": cb.sse,
         "seed": cb.seed,
-        "trained_at": None,
         "training_meta": {
             "trip_ids": list(cb.trip_ids),
             "segment_count": cb.segment_count,
             "iterations": cb.iterations,
         },
     }
-    with write_file(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write_json(doc, path)
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    """A codebook written by ``save_codebook``; a file that is not JSON, a missing key,
-    a feature other than the one the file is named after (``codebook_<feature>.json``),
-    trip ids that are not a list of strings, a filter other than hann, a k that is
-    not a positive int, a period, window or stride that is not a number, a length,
-    seed or training count that is not a nonnegative int, or a non-finite number is
+    """A codebook written by ``save_codebook``, at format version 1 or 2; a file that
+    is not JSON, a missing key, a feature other than the one the file is named after
+    (``codebook_<feature>.json``), trip ids that are not a list of strings, a period,
+    window or stride that is not a number, a seed or training count that is not a
+    nonnegative int, or centroids that are not a finite (k, window_len) matrix are
     rejected."""
     doc = read_json(path, DataError)
-    if not isinstance(doc, dict) or doc.get("format_version") != CODEBOOK_FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version not in (1, CODEBOOK_FORMAT_VERSION):
         raise DataError(f"{path}: unsupported codebook format")
     missing = [key for key in _CODEBOOK_KEYS if key not in doc]
     if missing:
         raise DataError(f"{path} lacks keys {missing}")
-    feature, k, sse, meta = doc["feature"], doc["k"], doc["sse"], doc["training_meta"]
+    feature, sse, meta = doc["feature"], doc["sse"], doc["training_meta"]
     if not isinstance(feature, str) or Path(path).name != f"codebook_{feature}.json":
         raise DataError(f"{path}: feature {feature!r} does not match the file name")
-    if doc["filter_name"] != "hann":
-        raise DataError(f"{path}: unsupported filter {doc['filter_name']!r}")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DataError(f"{path}: k must be a positive int, got {k!r}")
     if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
         raise DataError(f"{path}: sse must be a finite number, got {sse!r}")
     trip_ids = meta.get("trip_ids", []) if isinstance(meta, dict) else None
@@ -415,8 +399,8 @@ def load_codebook(path: str | Path) -> Codebook:
     for key in ("sample_period_s", "window_s", "stride_s"):
         if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
             raise DataError(f"{path}: {key} must be a number, got {doc[key]!r}")
-    counts = {key: doc[key] for key in ("window_len", "stride_len", "seed")}
-    counts.update(segment_count=meta.get("segment_count", 0), iterations=meta.get("iterations", 0))
+    counts = {"seed": doc["seed"], "segment_count": meta.get("segment_count", 0),
+              "iterations": meta.get("iterations", 0)}
     for key, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"{path}: {key} must be a nonnegative int, got {value!r}")
@@ -427,16 +411,8 @@ def load_codebook(path: str | Path) -> Codebook:
         raise DataError(f"{path}: malformed codebook: {exc}") from exc
     if not np.isfinite(centroids).all():
         raise DataError(f"{path} has non-finite centroid values")
-    if cfg.window_len != doc["window_len"] or cfg.stride_len != doc["stride_len"]:
-        raise DataError(f"{path}: stored window/stride lengths disagree with config")
-    return Codebook(
-        feature=feature,
-        k=k,
-        centroids=centroids,
-        sse=sse,
-        cfg=cfg,
-        trip_ids=tuple(trip_ids),
-        segment_count=counts["segment_count"],
-        iterations=counts["iterations"],
-        seed=counts["seed"],
-    )
+    try:
+        return Codebook(feature=feature, centroids=centroids, sse=sse, cfg=cfg,
+                        trip_ids=tuple(trip_ids), **counts)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

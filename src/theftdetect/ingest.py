@@ -4,7 +4,7 @@
 caller's error naming a file that cannot be read or decoded. ``write_file``
 opens every output file, creating its directory, and raises ``DataError``
 naming a file that cannot be written; ``write_json`` writes every JSON output
-but the codebooks through it. Trips are CSV files (header row of feature
+through it. Trips are CSV files (header row of feature
 names, one numeric row per sample). Per-driver summary statistics drive three
 rejection rules (missing or non-finite values, invariance at zero,
 cross-driver indifference) followed by a separation score that picks the

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import as_version_1
 from theftdetect.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -241,7 +242,7 @@ def test_detect_mixed_window_configs_is_data_error(pipeline, tmp_path):
     shutil.copytree(pipeline / "models", models)
     path = sorted(models.glob("codebook_*.json"))[0]
     doc = json.loads(path.read_text())
-    doc["stride_s"], doc["stride_len"] = 8.0, 8
+    doc["stride_s"] = 8.0
     path.write_text(json.dumps(doc))
     trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
     assert run("detect", "--data", str(pipeline / "corpus"), "--models", str(models),
@@ -325,7 +326,7 @@ def test_detect_unknown_feature_schema_error(pipeline, tmp_path):
 def test_detect_short_or_permuted_trip(pipeline, rows, order):
     """Fewer rows than a window exit 2 without a report; permuted columns do not change it."""
     models = pipeline / "models"
-    window_len = json.loads(next(models.glob("codebook_*.json")).read_text())["window_len"]
+    window_len = len(json.loads(next(models.glob("codebook_*.json")).read_text())["centroids"][0])
     entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
     with open(pipeline / "corpus" / entry["file"], newline="") as fh:
         table = [row for row in csv.reader(fh)][: rows + 1]
@@ -387,142 +388,52 @@ def test_infeasible_k_exit_code(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
-def test_config_file_and_flag_override(pipeline, tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({
-        "data_dir": str(pipeline / "corpus"),
-        "out_dir": str(tmp_path / "out"),
-        "seed": 11,
-        "k": 40,
-        "restarts": 2,
-    }))
-    assert run("--config", str(cfg_file), "train") == EXIT_OK
-    assert (tmp_path / "out" / "codebook_transmission_oil_temperature.json").exists()
-    # flag overrides config key
-    assert run("--config", str(cfg_file), "train", "--out", str(tmp_path / "out2")) == EXIT_OK
-    assert (tmp_path / "out2").exists()
-
-
-def test_unknown_config_key(tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"bogus": 1}))
-    assert run("--config", str(cfg_file), "ingest") == EXIT_USAGE
-
-
-def test_removed_elbow_k_values_key_rejected(tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"elbow_k_values": [10, 20]}))
-    assert run("--config", str(cfg_file), "ingest") == EXIT_USAGE
-
-
-# keys no caller set; each value was valid when the key existed
-REMOVED_CONFIG_KEYS = {
-    "max_iter": 100,
-    "tol": 1e-6,
-    "indifference_tolerance": 0.05,
-    "separation_threshold": 0.5,
-    "filter_name": "hann",
-    "detection_window_s": 32.0,
-    "val_ratio": [8, 2],
-    "thresholds": {"transmission_oil_temperature": math.nan},
-    "strict_k": True,
-}
-
-
-@pytest.mark.parametrize("key", sorted(REMOVED_CONFIG_KEYS))
-def test_removed_config_keys_rejected(pipeline, tmp_path, key):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({key: REMOVED_CONFIG_KEYS[key]}))
-    models = tmp_path / "models"
-    shutil.copytree(pipeline / "models", models)
-    (models / "thresholds.json").unlink()
-    assert run("--config", str(cfg_file), "evaluate", "--data", str(pipeline / "corpus"),
-               "--models", str(models), "--out", str(tmp_path / "out")) == EXIT_USAGE
-    assert not (models / "thresholds.json").exists()
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("doc", [
-    {"k": "5"},
-    ["k"],
-    {"seed": 1.5},
-    {"window_s": True},
-    {"owner": 3},
-], ids=["k-string", "list", "seed-float", "window-bool", "owner-int"])
-def test_config_value_of_wrong_type_is_config_error(pipeline, tmp_path, capsys, doc):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps(doc))
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--restarts", "0"]),
+    ("synth", ["--sample-period", "0"]),
+    ("train", ["--window", "nan"]),
+    ("train", ["--window", "1e400"]),
+    ("train", ["--stride", "-1"]),
+    ("synth", ["--duration", "nan"]),
+    ("synth", ["--trips", "0"]),
+    ("synth", ["--seed", "-1"]),
+    ("train", ["--seed", "-1"]),
+], ids=["restarts-0", "synth-period-0", "window-nan", "window-beyond-largest-double",
+        "stride-negative", "duration-nan", "trips-0", "synth-seed-negative", "train-seed-negative"])
+def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
-    assert run("--config", str(cfg_file), "train", "--data", str(pipeline / "corpus"),
-               "--out", str(out), "--k", "10", "--restarts", "1") == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not out.exists()
-
-
-def test_config_value_types_accepted(pipeline, tmp_path):
-    # an int is fine for a float key, and k may be null
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"window_s": 32, "k": None, "restarts": 1}))
-    assert run("--config", str(cfg_file), "train", "--data", str(pipeline / "corpus"),
-               "--out", str(tmp_path / "out")) == EXIT_OK
-
-
-@pytest.mark.parametrize("command, flags, doc", [
-    ("train", ["--restarts", "0"], None),
-    ("train", [], {"restarts": -1}),
-    ("synth", ["--sample-period", "0"], None),
-    ("train", [], {"window_s": math.nan}),
-    ("train", ["--window", "nan"], None),
-    ("train", ["--stride", "-1"], None),
-    ("synth", ["--duration", "nan"], None),
-    ("synth", ["--trips", "0"], None),
-    ("detect", [], {"sample_period_s": 0}),
-    ("synth", ["--seed", "-1"], None),
-    ("train", ["--seed", "-1"], None),
-    ("train", [], {"window_s": 10 ** 400}),
-], ids=["restarts-0", "config-restarts", "synth-period-0", "config-window-nan", "window-nan",
-        "stride-negative", "duration-nan", "trips-0", "detect-period-0", "synth-seed-negative",
-        "train-seed-negative", "config-window-huge-int"])
-def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command, flags, doc):
-    out = tmp_path / "out"
-    config = []
-    if doc is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(doc))
-        config = ["--config", str(tmp_path / "cfg.json")]
-    trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
     args = {
         "synth": ["--data", str(out)],
         "train": ["--data", str(pipeline / "corpus"), "--out", str(out), "--k", "10"],
-        "detect": ["--models", str(pipeline / "models"), "--out", str(out),
-                   "--trip", str(pipeline / "corpus" / trip["file"])],
     }[command]
-    assert run(*config, command, *args, *flags) == EXIT_USAGE
+    assert run(command, *args, *flags) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(format_version=3),
+    lambda doc: doc.pop("format_version"),
+    lambda doc: doc.update(format_version=True),
+    lambda doc: doc.update(format_version=2.0),
     lambda doc: doc.pop("sse"),
-    lambda doc: doc.pop("window_len"),
     lambda doc: doc.pop("training_meta"),
-    lambda doc: doc.update(k=float(doc["k"])),
     lambda doc: doc["centroids"][0].__setitem__(3, math.nan),
     lambda doc: doc.update(sse=math.nan),
     lambda doc: doc.update(sse=math.inf),
-    lambda doc: doc.update(filter_name="triangular"),
     lambda doc: doc.update(sample_period_s=True),
     lambda doc: doc.update(window_s="32"),
     lambda doc: doc.update(stride_s=None),
     lambda doc: doc.update(window_s=10 ** 400),
-    lambda doc: doc.update(window_len=float(doc["window_len"])),
-    lambda doc: doc.update(stride_len=True),
+    lambda doc: doc.update(window_s=16.0),
+    lambda doc: doc.update(centroids=[]),
     lambda doc: doc.update(seed=-1),
     lambda doc: doc.update(seed=7.0),
     lambda doc: doc["training_meta"].update(segment_count="many"),
     lambda doc: doc["training_meta"].update(iterations=-3),
-], ids=["no-sse", "no-window-len", "no-training-meta", "k-float", "centroid-nan", "sse-nan",
-        "sse-inf", "filter-triangular", "period-bool", "window-string", "stride-null",
-        "window-huge-int", "window-len-float", "stride-len-bool", "seed-negative", "seed-float",
+], ids=["version-3", "no-version", "version-true", "version-float", "no-sse", "no-training-meta",
+        "centroid-nan", "sse-nan", "sse-inf", "period-bool", "window-string", "stride-null",
+        "window-huge-int", "centroid-width", "no-centroids", "seed-negative", "seed-float",
         "segment-count-string", "iterations-negative"])
 def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
     models = tmp_path / "models"
@@ -655,11 +566,11 @@ def test_selection_reads_no_validation_trip(pipeline, tmp_path, command):
 
 @pytest.mark.parametrize("case", [
     "report-not-a-report", "report-not-json", "report-not-utf8", "report-too-deep", "report-missing",
-    "config-not-utf8", "config-missing", "thresholds-not-utf8",
+    "thresholds-not-utf8",
 ])
 def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
-    """Each JSON file the CLI reads maps its own failures: a --config or thresholds.json
-    to a config error (exit 1), a --report to a data error (exit 2) naming the file."""
+    """Each JSON file the CLI reads maps its own failures: thresholds.json to a config
+    error (exit 1), a --report to a data error (exit 2) naming the file."""
     models, out, bad = tmp_path / "models", tmp_path / "out", tmp_path / "bad.json"
     shutil.copytree(pipeline / "models", models)
     trip = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
@@ -674,8 +585,6 @@ def test_json_reader_fails_closed(pipeline, tmp_path, capsys, case):
     if kind == "thresholds":
         shutil.copy(bad, models / "thresholds.json")
         bad, args, code = models / "thresholds.json", detect, EXIT_USAGE
-    elif kind == "config":
-        args, code = ["--config", str(bad), *detect], EXIT_USAGE
     else:
         args, code = ["report", "--out", str(out), "--report", str(bad)], EXIT_DATA
     assert run(*args) == code
@@ -785,7 +694,7 @@ def test_two_second_corpus_end_to_end(tmp_path):
     assert books
     for path in books:
         doc = json.loads(path.read_text())
-        assert (doc["sample_period_s"], doc["window_len"], doc["stride_len"]) == (2.0, 16, 8)
+        assert (doc["sample_period_s"], len(doc["centroids"][0]), doc["stride_s"]) == (2.0, 16, 16.0)
     assert run("evaluate", "--data", corpus, "--models", models, "--out", out) == EXIT_OK
     splice = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-splice")
     assert run("detect", "--models", models, "--out", out,
@@ -855,14 +764,72 @@ def test_manifest_without_corpus_fact_is_data_error(pipeline, tmp_path, capsys, 
 
 
 def test_config_k_is_strict(pipeline, tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"k": 1000000}))
-    corpus = str(pipeline / "corpus")
-    assert run("--config", str(cfg_file), "train", "--data", corpus,
-               "--out", str(tmp_path / "a")) == EXIT_INFEASIBLE
-    assert run("train", "--data", corpus, "--out", str(tmp_path / "b"),
+    assert run("train", "--data", str(pipeline / "corpus"), "--out", str(tmp_path / "b"),
                "--k", "1000000") == EXIT_INFEASIBLE
     assert not list(tmp_path.glob("*/codebook_*.json"))
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before-subcommand", "after-subcommand"])
+def test_config_file_flag_is_usage_error(pipeline, tmp_path, capsys, before):
+    """Settings come only from the subcommand's flags: --config is an unknown argument."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"k": 1000000}))
+    out = tmp_path / "out"
+    train = ["train", "--data", str(pipeline / "corpus"), "--out", str(out), "--k", "3"]
+    config = ["--config", str(cfg_file)]
+    assert run(*(config + train if before else train + config)) == EXIT_USAGE
+    assert "theftdetect: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_over_version_1_codebooks_writes_the_same_bytes(pipeline, tmp_path):
+    """Version 1 codebooks, which also store k, window_len, stride_len, filter_name and
+    trained_at, score a trip exactly as the version 2 codebooks they equal."""
+    v1 = tmp_path / "v1"
+    shutil.copytree(pipeline / "models", v1)
+    for path in v1.glob("codebook_*.json"):
+        path.write_text(json.dumps(as_version_1(json.loads(path.read_text())), indent=2))
+    entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
+    reports = []
+    for models in (pipeline / "models", v1):
+        out = tmp_path / f"out_{models.name}"
+        assert run("detect", "--models", str(models), "--out", str(out),
+                   "--trip", str(pipeline / "corpus" / entry["file"])) == EXIT_OK
+        reports.append((out / f"detection_{entry['trip_id']}.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_trip_shorter_than_a_detection_window_names_the_trip(pipeline, tmp_path, capsys):
+    """16 s windows slide over a 20-row trip, but a 32-sample detection window does not
+    fit its error series: detect exits 2 naming the trip and the feature."""
+    models, out = tmp_path / "models", tmp_path / "out"
+    assert run("train", "--data", str(pipeline / "corpus"), "--out", str(models), "--k", "3",
+               "--restarts", "1", "--window", "16", "--stride", "8") == EXIT_OK
+    essential = json.loads((models / "features.json").read_text())["essential"]
+    (models / "thresholds.json").write_text(json.dumps({f: 1.0 for f in essential}))
+    entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-owner")
+    trip = tmp_path / "A_short.csv"
+    trip.write_text("\n".join((pipeline / "corpus" / entry["file"]).read_text().splitlines()[:21]) + "\n")
+    capsys.readouterr()
+    assert run("detect", "--models", str(models), "--out", str(out), "--trip", str(trip)) == EXIT_DATA
+    err = capsys.readouterr().err
+    # models score in codebook file name order
+    assert err.startswith(f"data error: trip A_short feature {min(essential)!r}: detection window of 32")
+    assert not out.exists()
+
+
+def test_training_trip_shorter_than_a_window_names_trip_and_feature(tmp_path, capsys):
+    corpus, models = tmp_path / "corpus", tmp_path / "models"
+    assert run("synth", "--data", str(corpus), "--seed", "3", "--trips", "2",
+               "--duration", "60") == EXIT_OK
+    capsys.readouterr()
+    assert run("train", "--data", str(corpus), "--out", str(models), "--k", "3",
+               "--window", "64", "--stride", "32") == EXIT_DATA
+    essential = json.loads((models / "features.json").read_text())["essential"]
+    first = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "train" and t["driver_id"] == "A")
+    assert capsys.readouterr().err == (f"data error: trip {first['trip_id']} feature {essential[0]!r}: "
+                                       "series of length 60 shorter than window 64\n")
+    assert not list(models.glob("codebook_*.json"))
 
 
 def test_report_command(pipeline, tmp_path):

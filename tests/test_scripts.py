@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -78,3 +79,32 @@ def test_run_pipeline_smoke(tmp_path, capsys):
     names = {p.name for p in (tmp_path / "out").iterdir()}
     assert {f"detection_{t['trip_id']}.json" for t in scored} <= names
     assert {"report.json", "report.md", "report.csv"} <= names
+
+
+def test_elbow_experiment_non_finite_sample_is_data_error(tmp_path, capsys):
+    """A NaN in the swept feature of a training trip exits 2 naming the trip and the
+    feature, not with a traceback."""
+    elbow = load_script("elbow_experiment")
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--data", str(corpus), "--seed", "3", "--trips", "2",
+                 "--duration", "120"]) == EXIT_OK
+    entry = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "train")
+    with open(corpus / entry["file"], newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows[50][header.index("transmission_oil_temperature")] = "nan"
+    with open(corpus / entry["file"], "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+    assert elbow.main([str(corpus), "--k-max", "4"]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: trip {entry['trip_id']} feature "
+                                       "'transmission_oil_temperature': non-finite samples\n")
+
+
+def test_golden_digests_match_the_smoke_run(tmp_path):
+    """The CI smoke run writes the committed bytes; `scripts/golden_digests.py --write`
+    rewrites them after a deliberate golden change."""
+    golden = load_script("golden_digests")
+    expected = json.loads(golden.GOLDEN.read_text())
+    actual = golden.smoke_digests(tmp_path)
+    differing = golden.first_difference(expected, actual)
+    assert differing is None, f"first file, in pipeline order, whose bytes differ: {differing}"
