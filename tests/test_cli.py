@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import as_version_1
 from theftdetect.cli import (
@@ -347,10 +347,11 @@ def test_detect_short_or_permuted_trip(pipeline, rows, order):
             assert reports[0][0].read_bytes() == reports[1][0].read_bytes()
 
 
-@given(labels=st.lists(st.booleans(), min_size=1, max_size=200), dlen=st.integers(1, 40))
-def test_window_labels_match_per_window_majority(labels, dlen):
+@given(case=st.lists(st.booleans(), min_size=1, max_size=200).flatmap(
+    lambda labels: st.tuples(st.just(labels), st.integers(1, min(40, len(labels))))))
+def test_window_labels_match_per_window_majority(case):
     """evaluate's window label, a mean of 0/1 sample labels > 0.5, is a strict majority."""
-    assume(dlen <= len(labels))
+    labels, dlen = case
     labels = np.array(labels, dtype=bool)
     expected = []
     for s in range(0, len(labels) - dlen + 1, dlen):
@@ -398,8 +399,11 @@ def test_infeasible_k_exit_code(tmp_path):
     ("synth", ["--trips", "0"]),
     ("synth", ["--seed", "-1"]),
     ("train", ["--seed", "-1"]),
+    ("train", ["--restarts", "-1"]),
+    ("train", ["--window", "1" + "0" * 400]),
 ], ids=["restarts-0", "synth-period-0", "window-nan", "window-beyond-largest-double",
-        "stride-negative", "duration-nan", "trips-0", "synth-seed-negative", "train-seed-negative"])
+        "stride-negative", "duration-nan", "trips-0", "synth-seed-negative", "train-seed-negative",
+        "config-restarts", "config-window-huge-int"])
 def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
     args = {
