@@ -17,30 +17,22 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator
 
-from theftdetect import cli, synth
+from theftdetect import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from run_pipeline import steps  # noqa: E402  (the script beside this one)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "smoke_seed7.json"
-
-
-def steps(work: Path) -> Iterator[list[str]]:
-    """CLI argument lists in run order; each is built once the previous step has run."""
-    corpus, models, out = str(work / "corpus"), str(work / "models"), str(work / "out")
-    yield ["synth", "--data", corpus, "--seed", "7", "--trips", "2", "--duration", "120"]
-    yield ["ingest", "--data", corpus, "--out", models]
-    yield ["train", "--data", corpus, "--out", models, "--k", "10"]
-    yield ["evaluate", "--data", corpus, "--models", models, "--out", out]
-    for trip in synth.load_manifest(corpus)["trips"]:
-        if trip["role"].startswith("val-"):
-            yield ["detect", "--models", models, "--out", out, "--trip", str(work / "corpus" / trip["file"])]
-    yield ["report", "--out", out, "--report", str(work / "out" / "report.json")]
+# the CI smoke configuration: 2 trips of 120 s per driver, k=10 codebooks
+SMOKE_SYNTH = ("--trips", "2", "--duration", "120")
+SMOKE_TRAIN = ("--k", "10")
 
 
 def smoke_digests(work: Path) -> dict[str, str]:
     """Run the smoke configuration in ``work``; relative path -> sha256, in pipeline order."""
     order: list[str] = []
-    for step in steps(work):
+    for step in steps(work, "7", SMOKE_SYNTH, SMOKE_TRAIN):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(step)
         if code != cli.EXIT_OK:

@@ -16,12 +16,14 @@ from typing import Iterator
 from theftdetect import cli, synth
 
 
-def steps(work: Path, seed: str) -> Iterator[list[str]]:
-    """CLI argument lists in run order; each is built once the previous step has run."""
+def steps(work: Path, seed: str, synth_flags: tuple[str, ...] = (),
+          train_flags: tuple[str, ...] = ()) -> Iterator[list[str]]:
+    """CLI argument lists in run order, ``synth`` and ``train`` given the extra flags;
+    each is built once the previous step has run."""
     corpus, models, out = str(work / "corpus"), str(work / "models"), str(work / "out")
-    yield ["synth", "--data", corpus, "--seed", seed]
+    yield ["synth", "--data", corpus, "--seed", seed, *synth_flags]
     yield ["ingest", "--data", corpus, "--out", models]
-    yield ["train", "--data", corpus, "--out", models, "--seed", seed]
+    yield ["train", "--data", corpus, "--out", models, "--seed", seed, *train_flags]
     yield ["evaluate", "--data", corpus, "--models", models, "--out", out, "--seed", seed]
     for trip in synth.load_manifest(corpus)["trips"]:
         if trip["role"].startswith("val-"):

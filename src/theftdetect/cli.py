@@ -60,10 +60,11 @@ class RunConfig:
 SELECTION_ROLES = {"train", "catalog"}
 
 
-def load_corpus_trips(data_dir: str | Path, roles: set[str]) -> tuple[dict, list[tuple[dict, TripLog]]]:
+def load_corpus_trips(data_dir: str | Path, roles: set[str],
+                      columns: list[str] | None = None) -> tuple[dict, list[tuple[dict, TripLog]]]:
     """The manifest and the (entry, TripLog) pairs of its trips whose role is in ``roles``.
 
-    Trips are parsed at the manifest's sample period.
+    Trips are parsed at the manifest's sample period, ``columns`` as ``ingest.parse_trip`` reads it.
     """
     manifest = synth.load_manifest(data_dir)
     out = []
@@ -75,6 +76,7 @@ def load_corpus_trips(data_dir: str | Path, roles: set[str]) -> tuple[dict, list
             manifest["sample_period_s"],
             trip_id=entry["trip_id"],
             driver_id=entry["driver_id"],
+            columns=columns,
         )
         out.append((entry, trip))
     return manifest, out
@@ -195,7 +197,7 @@ def cmd_train(cfg: RunConfig) -> int:
     features_file = out_dir / "features.json"
     if features_file.exists():
         essential = read_essential(out_dir)
-        manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"})
+        manifest, corpus = load_corpus_trips(cfg.data_dir, roles={"train"}, columns=essential)
     else:
         manifest, corpus = load_corpus_trips(cfg.data_dir, SELECTION_ROLES)
         essential = select_features([t for _, t in corpus], out_dir)
@@ -255,7 +257,7 @@ def cmd_detect(cfg: RunConfig, trip_path: str, models_dir: str) -> int:
     books = load_models(models_dir)
     thresholds = load_thresholds(models_dir, list(books))
     wcfg = next(iter(books.values())).cfg
-    trip = ingest.parse_trip(trip_path, wcfg.sample_period_s)
+    trip = ingest.parse_trip(trip_path, wcfg.sample_period_s, columns=list(books))
     errors = trip_model_verdicts(trip, books)
     theft = errors > np.array([[thresholds[f]] for f in books])
     votes, flagged = detect.ensemble_vote(theft)
@@ -290,7 +292,7 @@ def evaluate(cfg: RunConfig, models_dir: str) -> tuple[dict, dict[str, detect.Ro
     books = load_models(models_dir)
     wcfg = next(iter(books.values())).cfg
     # splice trips are a localization demo, not part of the 8:2 validation split
-    manifest, val = load_corpus_trips(cfg.data_dir, roles={"val-owner", "val-thief"})
+    manifest, val = load_corpus_trips(cfg.data_dir, {"val-owner", "val-thief"}, columns=list(books))
     if (period := manifest["sample_period_s"]) != wcfg.sample_period_s:
         raise DataError(f"corpus {cfg.data_dir} is sampled every {period} s, "
                         f"but the codebooks in {models_dir} every {wcfg.sample_period_s} s")

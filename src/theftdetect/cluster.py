@@ -7,7 +7,7 @@ Lloyd's iterations from distance-weighted (k-means++ style) seeding.
 farthest from the chord. ``assign`` maps every row of a window matrix to its
 nearest centroid in one batched pass. A ``Codebook`` is one feature's
 centroids with their window config and training metadata, persisted as
-versioned JSON that stores nothing it can derive.
+versioned JSON that stores nothing it can derive, its centroids one base64 string.
 
 Nearest-centroid search (``_assign_all``, the hot loop of Lloyd's iterations
 and of scoring) ranks centroids by one BLAS product per block of rows and
@@ -24,6 +24,7 @@ in the order ``x[labels == j].mean(axis=0)`` does.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +35,7 @@ from . import DataError, InfeasibleKError
 from .ingest import read_json, write_json
 from .windowing import WindowConfig
 
-CODEBOOK_FORMAT_VERSION = 2
+CODEBOOK_FORMAT_VERSION = 3
 
 DEFAULT_K = 300  # operating point used on the original four-driver data
 DEFAULT_MAX_ITER = 100
@@ -45,6 +46,9 @@ DEFAULT_RESTARTS = 5
 _CODEBOOK_KEYS = (
     "feature", "sample_period_s", "window_s", "stride_s", "centroids", "sse", "seed", "training_meta",
 )
+_META_KEYS = ("trip_ids", "segment_count", "iterations")
+# version 3 centroids: the matrix's little-endian float64 bytes in C order, base64-encoded
+_CENTROID_DTYPE = np.dtype("<f8")
 # rows per block in _assign_all: each of a block's temporaries holds rows * k
 # floats (154 kB at k=300), so they and BLAS's packing buffers stay cache-sized
 ASSIGN_CHUNK = 64
@@ -355,14 +359,15 @@ def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Persist as versioned JSON; float serialization round-trips exactly."""
+    """Persist as versioned JSON; the centroid bytes and the sse round-trip exactly."""
+    blob = np.ascontiguousarray(cb.centroids, dtype=_CENTROID_DTYPE).tobytes()
     doc = {
         "format_version": CODEBOOK_FORMAT_VERSION,
         "feature": cb.feature,
         "sample_period_s": cb.cfg.sample_period_s,
         "window_s": cb.cfg.window_s,
         "stride_s": cb.cfg.stride_s,
-        "centroids": cb.centroids.tolist(),
+        "centroids": base64.b64encode(blob).decode("ascii"),
         "sse": cb.sse,
         "seed": cb.seed,
         "training_meta": {
@@ -374,16 +379,31 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
     write_json(doc, path)
 
 
+def _decode_centroids(path: str | Path, centroids, version: int, window_len: int) -> np.ndarray:
+    """The centroid matrix of a version 3 base64 string, whose byte count must be a
+    nonzero multiple of a row's, or of a version 1 or 2 list of rows of JSON numbers."""
+    if version == 3:
+        blob = base64.b64decode(centroids, validate=True)
+        if not blob or len(blob) % (_CENTROID_DTYPE.itemsize * window_len):
+            raise DataError(f"{path}: {len(blob)} centroid bytes are not rows of {window_len} float64")
+        return np.frombuffer(blob, dtype=_CENTROID_DTYPE).astype(float).reshape(-1, window_len)
+    if not isinstance(centroids, list) or not all(
+        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in centroids
+    ):
+        raise DataError(f"{path}: centroids must be a list of rows of JSON numbers")
+    return np.array(centroids, dtype=float)
+
+
 def load_codebook(path: str | Path) -> Codebook:
-    """A codebook written by ``save_codebook``, at format version 1 or 2; a file that
-    is not JSON, a missing key, a feature other than the one the file is named after
-    (``codebook_<feature>.json``), trip ids that are not a list of strings, a period,
-    window or stride that is not a number, a seed or training count that is not a
-    nonnegative int, or centroids that are not a finite (k, window_len) matrix are
-    rejected."""
+    """A codebook written by ``save_codebook``, at format version 1, 2 or 3; a file
+    that is not JSON, a missing key, a feature other than the one the file is named
+    after (``codebook_<feature>.json``), training_meta without trip ids that are a
+    list of strings and both training counts, a period, window or stride that is not
+    a number, a seed or training count that is not a nonnegative int, or centroids
+    that are not a finite (k, window_len) matrix are rejected."""
     doc = read_json(path, DataError)
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version not in (1, CODEBOOK_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, CODEBOOK_FORMAT_VERSION):
         raise DataError(f"{path}: unsupported codebook format")
     missing = [key for key in _CODEBOOK_KEYS if key not in doc]
     if missing:
@@ -393,20 +413,22 @@ def load_codebook(path: str | Path) -> Codebook:
         raise DataError(f"{path}: feature {feature!r} does not match the file name")
     if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
         raise DataError(f"{path}: sse must be a finite number, got {sse!r}")
-    trip_ids = meta.get("trip_ids", []) if isinstance(meta, dict) else None
+    if not isinstance(meta, dict) or any(key not in meta for key in _META_KEYS):
+        raise DataError(f"{path}: training_meta must hold {', '.join(_META_KEYS)}")
+    trip_ids = meta["trip_ids"]
     if not isinstance(trip_ids, list) or not all(isinstance(t, str) for t in trip_ids):
-        raise DataError(f"{path}: training_meta must be an object whose trip_ids are strings")
+        raise DataError(f"{path}: training_meta trip_ids must be a list of strings")
     for key in ("sample_period_s", "window_s", "stride_s"):
         if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
             raise DataError(f"{path}: {key} must be a number, got {doc[key]!r}")
-    counts = {"seed": doc["seed"], "segment_count": meta.get("segment_count", 0),
-              "iterations": meta.get("iterations", 0)}
+    counts = {"seed": doc["seed"], "segment_count": meta["segment_count"],
+              "iterations": meta["iterations"]}
     for key, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"{path}: {key} must be a nonnegative int, got {value!r}")
     try:
         cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
-        centroids = np.array(doc["centroids"], dtype=float)
+        centroids = _decode_centroids(path, doc["centroids"], version, cfg.window_len)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed codebook: {exc}") from exc
     if not np.isfinite(centroids).all():

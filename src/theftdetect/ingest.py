@@ -113,21 +113,34 @@ def _infer_ids(path: Path) -> tuple[str, str]:
     return stem, driver
 
 
-def parse_trip(
-    path: str | Path,
-    sample_period_s: float,
-    trip_id: str | None = None,
-    driver_id: str | None = None,
-) -> TripLog:
-    """Parse one trip CSV into a TripLog.
+def _parse_columns(text: str, columns: list[str]) -> tuple[list[str], list[np.ndarray]] | None:
+    """The header and the ``columns`` (plus ``timestamp``) of a CSV text whose every
+    row has the header's cell count, parsed in one ``np.loadtxt`` pass; None for any
+    text whose parse, or error, only ``_parse_all`` can decide."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or not text.isascii():
+        return None
+    head, *rows = text.split("\n")
+    if rows and rows[-1] == "":
+        rows.pop()
+    header = [h.strip() for h in head.split(",")]
+    keep = [i for i, name in enumerate(header) if name in columns or name == TIMESTAMP_COLUMN]
+    commas = len(header) - 1
+    # one-column headers, header faults, blank or ragged rows and over-long cells go to csv
+    if (not commas or not rows or len(set(header)) != len(header) or not set(columns) <= set(header)
+            or max(len(head), max(map(len, rows))) > csv.field_size_limit()
+            or any(row.count(",") != commas for row in rows)):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", usecols=keep, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return [header[i] for i in keep], list(table.T.copy())
 
-    Empty cells become NaN missing markers, never zeros. A reserved
-    ``timestamp`` column is dropped from the features after checking that
-    consecutive stamps advance by sample_period_s.
-    """
-    path = Path(path)
-    inferred_trip, inferred_driver = _infer_ids(path)
-    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
+
+def _parse_all(text: str, path: Path) -> tuple[list[str], list[np.ndarray]]:
+    """The header and every column of a CSV text, one ``float()`` per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [h.strip() for h in next(reader, [])]
         if not header:
@@ -155,8 +168,31 @@ def parse_trip(
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise DataError(f"{path}: no data rows")
+    return header, [np.asarray(col, dtype=float) for col in columns]
 
-    features = {name: np.asarray(col, dtype=float) for name, col in zip(header, columns)}
+
+def parse_trip(
+    path: str | Path,
+    sample_period_s: float,
+    trip_id: str | None = None,
+    driver_id: str | None = None,
+    columns: list[str] | None = None,
+) -> TripLog:
+    """Parse one trip CSV into a TripLog.
+
+    Empty cells become NaN missing markers, never zeros. A reserved
+    ``timestamp`` column is dropped from the features after checking that
+    consecutive stamps advance by sample_period_s. Given ``columns``, the
+    features may be just those, parsed in one ``np.loadtxt`` pass: every row's
+    cell count is checked, but no other column's cells. Any text that pass cannot
+    take is parsed in full, so its errors are the full parse's.
+    """
+    path = Path(path)
+    inferred_trip, inferred_driver = _infer_ids(path)
+    text = read_text(path, DataError)
+    parsed = _parse_columns(text, columns) if columns else None
+    header, values = parsed or _parse_all(text, path)
+    features = dict(zip(header, values))
     stamps = features.pop(TIMESTAMP_COLUMN, None)
     if stamps is not None:
         deltas = np.diff(stamps)
@@ -170,8 +206,6 @@ def parse_trip(
         sample_period_s=sample_period_s,
         features=features,
     )
-
-
 
 
 def driver_stats(values: np.ndarray) -> np.ndarray:

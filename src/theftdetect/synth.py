@@ -13,7 +13,7 @@ per-trip ground-truth label CSVs.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,11 +55,10 @@ def ar_sine(rng: np.random.Generator, t: np.ndarray, base: float, ar_coeff: floa
             noise_scale: float, amplitude: float = 0.0, period_s: float = 120.0) -> np.ndarray:
     """``base`` plus a sine of ``amplitude`` and ``period_s`` plus AR(1) noise
     whose shocks are normal with standard deviation ``noise_scale``, at times ``t``."""
-    shocks = rng.standard_normal(len(t)) * noise_scale
-    noise = np.empty(len(t))
-    noise[0] = shocks[0]
-    for i in range(1, len(t)):
-        noise[i] = ar_coeff * noise[i - 1] + shocks[i]
+    shocks = (rng.standard_normal(len(t)) * noise_scale).tolist()
+    # the recursion over Python floats: the same IEEE operations, in order, as over float64
+    noise = np.fromiter(itertools.accumulate(shocks, lambda prev, shock: ar_coeff * prev + shock),
+                        dtype=float, count=len(t))
     return base + amplitude * np.sin(2 * np.pi * t / period_s) + noise
 
 
@@ -119,12 +118,13 @@ class CorpusConfig:
 
 
 def _write_trip_csv(trip: TripLog, path: Path) -> None:
-    columns = [("" if math.isnan(v) else repr(v) for v in values.tolist())
+    """A header and one row per sample, CRLF-terminated; each cell is its float's
+    ``repr``, formatted a column at a time in C, and a missing value is empty."""
+    columns = [repr(values.tolist())[1:-1].replace("nan", "").split(", ")
                for values in trip.features.values()]
+    rows = [",".join(trip.feature_names)] + [",".join(row) for row in zip(*columns)]
     with write_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trip.feature_names)
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(rows) + "\r\n")
 
 
 def _write_labels_csv(labels: np.ndarray, path: Path) -> None:

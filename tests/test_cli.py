@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import csv
 import hashlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_version_1
+from conftest import as_version_1, as_version_2, centroid_matrix
 from theftdetect.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -326,7 +327,8 @@ def test_detect_unknown_feature_schema_error(pipeline, tmp_path):
 def test_detect_short_or_permuted_trip(pipeline, rows, order):
     """Fewer rows than a window exit 2 without a report; permuted columns do not change it."""
     models = pipeline / "models"
-    window_len = len(json.loads(next(models.glob("codebook_*.json")).read_text())["centroids"][0])
+    book = json.loads(next(models.glob("codebook_*.json")).read_text())
+    window_len = round(book["window_s"] / book["sample_period_s"])
     entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
     with open(pipeline / "corpus" / entry["file"], newline="") as fh:
         table = [row for row in csv.reader(fh)][: rows + 1]
@@ -415,30 +417,57 @@ def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command
     assert not out.exists()
 
 
+def with_cell(value, version=3):
+    """A corruption that sets one centroid cell to ``value``, in the version 3 blob or,
+    at version 2, as a JSON value of the list of rows."""
+    def corrupt(doc):
+        if version == 2:
+            doc.update(as_version_2(doc))
+            doc["centroids"][0][3] = value
+            return
+        matrix = centroid_matrix(doc).copy()
+        matrix[0, 3] = value
+        doc["centroids"] = base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda doc: doc.update(format_version=3),
+    lambda doc: doc.update(format_version=4),
     lambda doc: doc.pop("format_version"),
     lambda doc: doc.update(format_version=True),
     lambda doc: doc.update(format_version=2.0),
     lambda doc: doc.pop("sse"),
     lambda doc: doc.pop("training_meta"),
-    lambda doc: doc["centroids"][0].__setitem__(3, math.nan),
+    with_cell(math.nan),
     lambda doc: doc.update(sse=math.nan),
     lambda doc: doc.update(sse=math.inf),
     lambda doc: doc.update(sample_period_s=True),
     lambda doc: doc.update(window_s="32"),
     lambda doc: doc.update(stride_s=None),
     lambda doc: doc.update(window_s=10 ** 400),
-    lambda doc: doc.update(window_s=16.0),
-    lambda doc: doc.update(centroids=[]),
+    # 40 rows of 32 values are not whole rows of 24
+    lambda doc: doc.update(window_s=24.0),
+    lambda doc: doc.update(centroids=""),
     lambda doc: doc.update(seed=-1),
     lambda doc: doc.update(seed=7.0),
     lambda doc: doc["training_meta"].update(segment_count="many"),
     lambda doc: doc["training_meta"].update(iterations=-3),
-], ids=["version-3", "no-version", "version-true", "version-float", "no-sse", "no-training-meta",
+    with_cell(math.inf),
+    lambda doc: doc.update(centroids=centroid_matrix(doc).tolist()),
+    lambda doc: doc.update(centroids=doc["centroids"][:-4] + "!!!!"),
+    lambda doc: doc.update(centroids=base64.b64encode(base64.b64decode(doc["centroids"])[:-8]).decode()),
+    with_cell("1.5", version=2),
+    with_cell(True, version=2),
+    lambda doc: doc.update(training_meta={}),
+    lambda doc: doc["training_meta"].pop("trip_ids"),
+    lambda doc: doc["training_meta"].pop("segment_count"),
+    lambda doc: doc["training_meta"].pop("iterations"),
+], ids=["version-4", "no-version", "version-true", "version-float", "no-sse", "no-training-meta",
         "centroid-nan", "sse-nan", "sse-inf", "period-bool", "window-string", "stride-null",
         "window-huge-int", "centroid-width", "no-centroids", "seed-negative", "seed-float",
-        "segment-count-string", "iterations-negative"])
+        "segment-count-string", "iterations-negative", "centroid-inf", "centroids-list",
+        "blob-not-base64", "blob-byte-count", "centroid-string", "centroid-bool",
+        "training-meta-empty", "no-trip-ids", "no-segment-count", "no-iterations"])
 def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
     models = tmp_path / "models"
     shutil.copytree(pipeline / "models", models)
@@ -698,7 +727,7 @@ def test_two_second_corpus_end_to_end(tmp_path):
     assert books
     for path in books:
         doc = json.loads(path.read_text())
-        assert (doc["sample_period_s"], len(doc["centroids"][0]), doc["stride_s"]) == (2.0, 16, 16.0)
+        assert (doc["sample_period_s"], doc["window_s"] / doc["sample_period_s"], doc["stride_s"]) == (2.0, 16, 16.0)
     assert run("evaluate", "--data", corpus, "--models", models, "--out", out) == EXIT_OK
     splice = next(t for t in load_manifest(corpus)["trips"] if t["role"] == "val-splice")
     assert run("detect", "--models", models, "--out", out,
@@ -786,21 +815,67 @@ def test_config_file_flag_is_usage_error(pipeline, tmp_path, capsys, before):
     assert not out.exists()
 
 
+def test_detect_parses_only_the_model_columns(pipeline, tmp_path, capsys):
+    """A non-numeric cell in a column no model reads leaves the detection report
+    byte-equal to the clean trip's; a row a cell short still exits 2 naming its line."""
+    entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
+    lines = (pipeline / "corpus" / entry["file"]).read_text().splitlines()
+    unread = lines[0].split(",").index("cabin_air_temperature")
+    cells = lines[5].split(",")
+    edited = {
+        "clean": lines[5],
+        "unread-text": ",".join(cells[:unread] + ["warm"] + cells[unread + 1:]),
+        "short-row": ",".join(cells[:-1]),
+    }
+    codes, reports = {}, {}
+    for name, line in edited.items():
+        trip = tmp_path / name / Path(entry["file"]).name
+        trip.parent.mkdir()
+        trip.write_text("\r\n".join(lines[:5] + [line] + lines[6:]) + "\r\n")
+        out = tmp_path / name / "out"
+        codes[name] = run("detect", "--models", str(pipeline / "models"), "--out", str(out),
+                          "--trip", str(trip))
+        reports[name] = [p.read_bytes() for p in out.glob("detection_*.json")]
+    assert codes == {"clean": EXIT_OK, "unread-text": EXIT_OK, "short-row": EXIT_DATA}
+    assert reports["unread-text"] == reports["clean"] != [] and reports["short-row"] == []
+    assert "line 6 has 8 cells, expected 9" in capsys.readouterr().err
+
+
 def test_detect_over_version_1_codebooks_writes_the_same_bytes(pipeline, tmp_path):
     """Version 1 codebooks, which also store k, window_len, stride_len, filter_name and
-    trained_at, score a trip exactly as the version 2 codebooks they equal."""
-    v1 = tmp_path / "v1"
-    shutil.copytree(pipeline / "models", v1)
-    for path in v1.glob("codebook_*.json"):
-        path.write_text(json.dumps(as_version_1(json.loads(path.read_text())), indent=2))
+    trained_at, and version 2 codebooks, centroids as JSON lists of rows, score a trip
+    exactly as the version 3 codebooks they equal."""
     entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
     reports = []
-    for models in (pipeline / "models", v1):
+    for older in (None, as_version_1, as_version_2):
+        models = pipeline / "models"
+        if older is not None:
+            models = tmp_path / older.__name__
+            shutil.copytree(pipeline / "models", models)
+            for path in models.glob("codebook_*.json"):
+                path.write_text(json.dumps(older(json.loads(path.read_text())), indent=2))
         out = tmp_path / f"out_{models.name}"
         assert run("detect", "--models", str(models), "--out", str(out),
                    "--trip", str(pipeline / "corpus" / entry["file"])) == EXIT_OK
         reports.append((out / f"detection_{entry['trip_id']}.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_detect_over_committed_version_2_models_writes_the_golden_reports(tmp_path):
+    """``tests/golden/smoke_models_v2`` holds the models directory a version 2 writer
+    made in the smoke run; scoring every validation trip over it writes the bytes whose
+    digests ``tests/golden/smoke_seed7.json`` records."""
+    golden = Path(__file__).parent / "golden"
+    digests = json.loads((golden / "smoke_seed7.json").read_text())
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert run("synth", "--data", str(corpus), "--seed", "7", "--trips", "2", "--duration", "120") == EXIT_OK
+    scored = [t for t in load_manifest(corpus)["trips"] if t["role"].startswith("val-")]
+    assert scored
+    for trip in scored:
+        assert run("detect", "--models", str(golden / "smoke_models_v2"), "--out", str(out),
+                   "--trip", str(corpus / trip["file"])) == EXIT_OK
+        report = (out / f"detection_{trip['trip_id']}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digests[f"out/detection_{trip['trip_id']}.json"]
 
 
 def test_trip_shorter_than_a_detection_window_names_the_trip(pipeline, tmp_path, capsys):

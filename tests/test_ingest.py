@@ -102,6 +102,90 @@ def test_file_readers_fail_closed_on_any_bytes(data):
             assert str(path) in str(exc)
 
 
+HEADER_NAMES = ("a", "b", " c ", "d", "timestamp")
+ODD_CELLS = ("", " ", "  \t", "1_0", "nan", "-nan", "inf", "-Infinity", "+1", "0x1p3", "#", "#1",
+             '"1"', '"1,5"', '"', " 2.5 ", "1e999", "5e-324", "-0", "x", "1e", "\x0c1", "\x00")
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, header, grid, kept): a CSV text of mostly numeric cells, its header
+    names, each line as a list of cells or, for a blank line, a string, and the
+    columns to keep. Odd cells, quotes, blank lines, short or long rows, a BOM and
+    lone-CR line ends each turn up in some texts."""
+    header = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=1, max_size=4,
+                           unique=draw(st.integers(0, 9)) > 0))
+    names = [name.strip() for name in header if name != "timestamp"] or ["a"]
+    kept = draw(st.lists(st.sampled_from(names if draw(st.integers(0, 9)) else ["a", "b", "c", "d"]),
+                         min_size=1, max_size=3, unique=True))
+    odd = st.sampled_from(ODD_CELLS)
+    number = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str))
+    grid, stamp = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 15)) == 0:
+            grid.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        row = [str(stamp) if name == "timestamp" and draw(st.integers(0, 15)) else
+               draw(odd if draw(st.integers(0, 23)) == 0 else number) for name in header]
+        if draw(st.integers(0, 15)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        grid.append(row)
+        stamp += 1
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)] + [line if isinstance(line, str) else ",".join(line) for line in grid]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if draw(st.integers(0, 15)) == 0 else end
+            for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    if draw(st.integers(0, 15)) == 0:
+        text = "\ufeff" + text
+    return text, header, grid, kept
+
+
+def parsed_or_error(path, columns=None):
+    try:
+        return parse_trip(path, 1.0, columns=columns)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_texts())
+@example(case=("a,b\r\n1,x\r\n2,3\r\n", ["a", "b"], [["1", "x"], ["2", "3"]], ["a"]))
+@example(case=("timestamp,a,b\n0,1,2\n2,3,4\n", ["timestamp", "a", "b"], [["0", "1", "2"], ["2", "3", "4"]], ["b"]))
+@example(case=("a,b\n1,2\n\n3,4\n", ["a", "b"], [["1", "2"], "", ["3", "4"]], ["a"]))
+@example(case=("a,b\n1,2\r3,4\n", ["a", "b"], [["1", "2"], ["3", "4"]], ["a"]))
+@example(case=('a,b\n"1",2\n', ["a", "b"], [['"1"', "2"]], ["a"]))
+def test_parse_trip_columns_matches_the_full_parse(case):
+    """Parsing only some columns gives every kept column the full parse's float64
+    bits, or the full parse's error. The one difference: a cell of a column not
+    kept is not parsed, so a text whose only fault is such a cell parses, to the
+    bits the full parse gives once that cell is numeric."""
+    text, header, grid, kept = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "A_t1.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast, full = parsed_or_error(path, kept), parsed_or_error(path)
+        if isinstance(fast, str):
+            assert fast == full
+            return
+        if isinstance(full, str):
+            assert "non-numeric cell" in full
+            # the same text with every cell of the columns not kept made numeric
+            sanitized = [line if isinstance(line, str) else
+                         [c if h.strip() in kept or h.strip() == "timestamp" else "0"
+                          for h, c in zip(header, line)] + line[len(header):]
+                         for line in grid]
+            lines = [",".join(header)] + [ln if isinstance(ln, str) else ",".join(ln) for ln in sanitized]
+            path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+            full = parse_trip(path, 1.0)
+    present = [name for name in kept if name in full.features]
+    assert present == [name for name in kept if name in fast.features]
+    for name in present:
+        assert fast.features[name].tobytes() == full.features[name].tobytes()
+
+
 def trip(driver, trip_id, **features):
     return TripLog(
         trip_id=trip_id,
