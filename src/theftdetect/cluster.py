@@ -6,8 +6,10 @@ Lloyd's iterations from distance-weighted (k-means++ style) seeding.
 ``elbow_sweep`` reads the SSE per k and recommends the knee, the point
 farthest from the chord. ``assign`` maps every row of a window matrix to its
 nearest centroid in one batched pass. A ``Codebook`` is one feature's
-centroids with their window config and training metadata, persisted as
-versioned JSON that stores nothing it can derive, its centroids one base64 string.
+centroids with their window config and training metadata, persisted as one
+flat JSON object of format version 4: its centroids are one base64 string
+whose byte count must be exactly k rows of ``window_len`` float64, k stored
+beside them. Only version 4 loads; an older file asks for ``train`` again.
 
 Nearest-centroid search (``_assign_all``, the hot loop of Lloyd's iterations
 and of scoring) ranks centroids by one BLAS product per block of rows and
@@ -25,7 +27,7 @@ in the order ``x[labels == j].mean(axis=0)`` does.
 from __future__ import annotations
 
 import base64
-import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,24 +37,33 @@ from . import DataError, InfeasibleKError
 from .ingest import read_json, write_json
 from .windowing import WindowConfig
 
-CODEBOOK_FORMAT_VERSION = 3
+CODEBOOK_FORMAT_VERSION = 4
 
 DEFAULT_K = 300  # operating point used on the original four-driver data
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 5
-# the keys save_codebook writes, less format_version (checked first); a version 1
-# file also holds k, window_len, stride_len, filter_name and trained_at, all ignored
-_CODEBOOK_KEYS = (
-    "feature", "sample_period_s", "window_s", "stride_s", "centroids", "sse", "seed", "training_meta",
-)
-_META_KEYS = ("trip_ids", "segment_count", "iterations")
-# version 3 centroids: the matrix's little-endian float64 bytes in C order, base64-encoded
-_CENTROID_DTYPE = np.dtype("<f8")
 # rows per block in _assign_all: each of a block's temporaries holds rows * k
 # floats (154 kB at k=300), so they and BLAS's packing buffers stay cache-sized
 ASSIGN_CHUNK = 64
 _FLOAT = np.finfo(float)
+# version 4 centroids: k rows of window_len little-endian float64 in C order, base64-encoded
+_CENTROID_DTYPE = np.dtype("<f8")
+# the kind of value each key save_codebook writes must hold (format_version is
+# checked first), and each kind's check; Python compares any int with a float exactly
+_CODEBOOK_KEYS = {
+    "feature": "a string", "sample_period_s": "a finite number", "window_s": "a finite number",
+    "stride_s": "a finite number", "k": "a positive int", "centroids": "a string",
+    "sse": "a finite number", "seed": "a nonnegative int", "trip_ids": "a list of strings",
+    "segment_count": "a nonnegative int", "iterations": "a nonnegative int",
+}
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a finite number": lambda v: type(v) in (int, float) and abs(v) <= float(_FLOAT.max),
+    "a nonnegative int": lambda v: type(v) is int and v >= 0,
+    "a positive int": lambda v: type(v) is int and v > 0,
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+}
 
 
 @dataclass(frozen=True)
@@ -359,7 +370,7 @@ def assign(windows: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Persist as versioned JSON; the centroid bytes and the sse round-trip exactly."""
+    """Persist as format version 4 JSON; the centroid bytes and the sse round-trip exactly."""
     blob = np.ascontiguousarray(cb.centroids, dtype=_CENTROID_DTYPE).tobytes()
     doc = {
         "format_version": CODEBOOK_FORMAT_VERSION,
@@ -367,74 +378,50 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
         "sample_period_s": cb.cfg.sample_period_s,
         "window_s": cb.cfg.window_s,
         "stride_s": cb.cfg.stride_s,
+        "k": len(cb.centroids),
         "centroids": base64.b64encode(blob).decode("ascii"),
         "sse": cb.sse,
         "seed": cb.seed,
-        "training_meta": {
-            "trip_ids": list(cb.trip_ids),
-            "segment_count": cb.segment_count,
-            "iterations": cb.iterations,
-        },
+        "trip_ids": list(cb.trip_ids),
+        "segment_count": cb.segment_count,
+        "iterations": cb.iterations,
     }
     write_json(doc, path)
 
 
-def _decode_centroids(path: str | Path, centroids, version: int, window_len: int) -> np.ndarray:
-    """The centroid matrix of a version 3 base64 string, whose byte count must be a
-    nonzero multiple of a row's, or of a version 1 or 2 list of rows of JSON numbers."""
-    if version == 3:
-        blob = base64.b64decode(centroids, validate=True)
-        if not blob or len(blob) % (_CENTROID_DTYPE.itemsize * window_len):
-            raise DataError(f"{path}: {len(blob)} centroid bytes are not rows of {window_len} float64")
-        return np.frombuffer(blob, dtype=_CENTROID_DTYPE).astype(float).reshape(-1, window_len)
-    if not isinstance(centroids, list) or not all(
-        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in centroids
-    ):
-        raise DataError(f"{path}: centroids must be a list of rows of JSON numbers")
-    return np.array(centroids, dtype=float)
-
-
 def load_codebook(path: str | Path) -> Codebook:
-    """A codebook written by ``save_codebook``, at format version 1, 2 or 3; a file
-    that is not JSON, a missing key, a feature other than the one the file is named
-    after (``codebook_<feature>.json``), training_meta without trip ids that are a
-    list of strings and both training counts, a period, window or stride that is not
-    a number, a seed or training count that is not a nonnegative int, or centroids
-    that are not a finite (k, window_len) matrix are rejected."""
+    """A codebook written by ``save_codebook``; a file that is not JSON, is not format
+    version 4 (an older file asks for ``train`` again), lacks a key or holds a value its
+    ``_CODEBOOK_KEYS`` check rejects, is named after another feature than its own
+    (``codebook_<feature>.json``), has a window config ``WindowConfig`` rejects, or whose
+    centroids are not exactly k finite rows of ``window_len`` float64 is rejected."""
     doc = read_json(path, DataError)
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version not in (1, 2, CODEBOOK_FORMAT_VERSION):
-        raise DataError(f"{path}: unsupported codebook format")
-    missing = [key for key in _CODEBOOK_KEYS if key not in doc]
-    if missing:
-        raise DataError(f"{path} lacks keys {missing}")
-    feature, sse, meta = doc["feature"], doc["sse"], doc["training_meta"]
-    if not isinstance(feature, str) or Path(path).name != f"codebook_{feature}.json":
+    if type(version) is not int or version != CODEBOOK_FORMAT_VERSION:
+        raise DataError(f"{path} is not a format version {CODEBOOK_FORMAT_VERSION} codebook "
+                        f"(format_version {version!r}); run `train` again to rewrite it")
+    for key, kind in _CODEBOOK_KEYS.items():
+        if key not in doc:
+            raise DataError(f"{path} lacks key {key!r}")
+        if not _KINDS[kind](doc[key]):
+            raise DataError(f"{path}: {key} must be {kind}, got {reprlib.repr(doc[key])}")
+    feature, k = doc["feature"], doc["k"]
+    if Path(path).name != f"codebook_{feature}.json":
         raise DataError(f"{path}: feature {feature!r} does not match the file name")
-    if isinstance(sse, bool) or not isinstance(sse, (int, float)) or not math.isfinite(sse):
-        raise DataError(f"{path}: sse must be a finite number, got {sse!r}")
-    if not isinstance(meta, dict) or any(key not in meta for key in _META_KEYS):
-        raise DataError(f"{path}: training_meta must hold {', '.join(_META_KEYS)}")
-    trip_ids = meta["trip_ids"]
-    if not isinstance(trip_ids, list) or not all(isinstance(t, str) for t in trip_ids):
-        raise DataError(f"{path}: training_meta trip_ids must be a list of strings")
-    for key in ("sample_period_s", "window_s", "stride_s"):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-            raise DataError(f"{path}: {key} must be a number, got {doc[key]!r}")
-    counts = {"seed": doc["seed"], "segment_count": meta["segment_count"],
-              "iterations": meta["iterations"]}
-    for key, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise DataError(f"{path}: {key} must be a nonnegative int, got {value!r}")
     try:
         cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
-        centroids = _decode_centroids(path, doc["centroids"], version, cfg.window_len)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed codebook: {exc}") from exc
+        blob = base64.b64decode(doc["centroids"], validate=True)
+    except (DataError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed codebook: {exc}") from None
+    if len(blob) != _CENTROID_DTYPE.itemsize * k * cfg.window_len:
+        raise DataError(f"{path}: {len(blob)} centroid bytes are not k={k} rows of "
+                        f"{cfg.window_len} float64")
+    centroids = np.frombuffer(blob, dtype=_CENTROID_DTYPE).astype(float).reshape(k, cfg.window_len)
     if not np.isfinite(centroids).all():
         raise DataError(f"{path} has non-finite centroid values")
     try:
-        return Codebook(feature=feature, centroids=centroids, sse=sse, cfg=cfg,
-                        trip_ids=tuple(trip_ids), **counts)
+        return Codebook(feature=feature, centroids=centroids, sse=doc["sse"], cfg=cfg,
+                        trip_ids=tuple(doc["trip_ids"]), segment_count=doc["segment_count"],
+                        iterations=doc["iterations"], seed=doc["seed"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -185,7 +185,8 @@ def parse_trip(
     consecutive stamps advance by sample_period_s. Given ``columns``, the
     features may be just those, parsed in one ``np.loadtxt`` pass: every row's
     cell count is checked, but no other column's cells. Any text that pass cannot
-    take is parsed in full, so its errors are the full parse's.
+    take, or whose timestamps fail, is parsed in full, so its errors are the full
+    parse's.
     """
     path = Path(path)
     inferred_trip, inferred_driver = _infer_ids(path)
@@ -197,6 +198,8 @@ def parse_trip(
     if stamps is not None:
         deltas = np.diff(stamps)
         if deltas.size and not np.allclose(deltas, sample_period_s, rtol=0, atol=1e-6):
+            if parsed:  # the trip fails anyway: report a cell fault first, as the full parse does
+                _parse_all(text, path)
             raise DataError(f"{path}: timestamp column is not uniform at {sample_period_s}s")
     if not features:
         raise DataError(f"{path}: no feature columns besides timestamp")
@@ -218,21 +221,27 @@ def driver_stats(values: np.ndarray) -> np.ndarray:
 def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
     """The essential features of ``trips`` and the selection reason of every feature.
 
-    Rules, in order: a missing (NaN) or infinite value in any trip, or one so
-    large that the feature's std overflows ("missing-value"); mean and std
-    zero for every driver ("invariance"); with two or more drivers,
-    per-driver mean, std, min and max within ``INDIFFERENCE_TOLERANCE`` pooled
-    stds of each other ("indifference"). A survivor's separation score is the
-    mean pairwise distance between per-driver five-number summaries (mean
-    componentwise absolute difference, so one noisy min or max cannot
-    dominate) over the pooled IQR, or the pooled std when the IQR is 0. The
-    best ``ESSENTIAL_TARGET`` survivors above ``SEPARATION_THRESHOLD``, ranked
-    by (-score, name), are "kept"; every other survivor is a
-    "statistical-reject". ``reasons`` lists features in first-seen order.
+    Selection compares drivers, so trips of fewer than two drivers are a data
+    error. Rules, in order: a missing (NaN) or infinite value in any trip, or
+    one so large that the feature's std overflows ("missing-value"); mean and
+    std zero for every driver ("invariance"); per-driver mean, std, min and max
+    within ``INDIFFERENCE_TOLERANCE`` pooled stds of each other, as they are
+    for a feature only one driver's trips carry ("indifference"). A survivor's
+    separation score is the mean pairwise distance between per-driver
+    five-number summaries (mean componentwise absolute difference, so one noisy
+    min or max cannot dominate) over the pooled IQR, or the pooled std when the
+    IQR is 0. The best ``ESSENTIAL_TARGET`` survivors above
+    ``SEPARATION_THRESHOLD``, ranked by (-score, name), are "kept"; every other
+    survivor is a "statistical-reject". ``reasons`` lists features in
+    first-seen order.
     """
     if not trips:
         raise DataError("cannot select features from zero trips")
-    by_driver = [[t for t in trips if t.driver_id == d] for d in sorted({t.driver_id for t in trips})]
+    drivers = sorted({t.driver_id for t in trips})
+    if len(drivers) < 2:
+        raise DataError(f"selection compares drivers, but every trip is of driver {drivers[0]!r}; "
+                        "add catalog trips of other drivers")
+    by_driver = [[t for t in trips if t.driver_id == d] for d in drivers]
     reasons: dict[str, str] = {}
     scores: dict[str, float] = {}
     for name in dict.fromkeys(name for t in trips for name in t.features):
@@ -252,7 +261,7 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
         spread = np.ptp(stats[:, [0, 1, 2, 6]], axis=0)
         if not stats[:, :2].any():
             reasons[name] = "invariance"
-        elif len(stats) >= 2 and (spread <= INDIFFERENCE_TOLERANCE * pooled_std).all():
+        elif (spread <= INDIFFERENCE_TOLERANCE * pooled_std).all():
             reasons[name] = "indifference"
         else:
             reasons[name] = "statistical-reject"
@@ -268,8 +277,6 @@ def select_essential(trips: list[TripLog]) -> tuple[list[str], dict[str, str]]:
 
 
 def _separation_score(stats: np.ndarray, pooled: np.ndarray) -> float:
-    if len(stats) < 2:
-        return math.inf if pooled.std() > 0 else 0.0
     five = stats[:, 2:]
     i, j = np.triu_indices(len(five), 1)
     mean_dist = np.abs(five[i] - five[j]).mean(axis=1).mean()

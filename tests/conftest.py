@@ -25,21 +25,7 @@ def fit_codebook(windows, k, cfg, seed=0, restarts=DEFAULT_RESTARTS, feature="f"
 
 
 def centroid_matrix(doc):
-    """The centroids of a version 3 codebook document: little-endian float64 rows of
+    """The centroids of a codebook document: k little-endian float64 rows of
     window_len values, base64-encoded."""
     cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
     return np.frombuffer(base64.b64decode(doc["centroids"]), dtype="<f8").reshape(-1, cfg.window_len)
-
-
-def as_version_2(doc):
-    """A version 3 codebook document as version 2 wrote it: centroids as a JSON list of rows."""
-    return {**doc, "format_version": 2, "centroids": centroid_matrix(doc).tolist()}
-
-
-def as_version_1(doc):
-    """A version 3 codebook document as version 1 wrote it: version 2's keys, plus five
-    that later versions derive or never varied."""
-    cfg = WindowConfig(doc["sample_period_s"], doc["window_s"], doc["stride_s"])
-    return {**as_version_2(doc), "format_version": 1, "k": len(centroid_matrix(doc)),
-            "window_len": cfg.window_len, "stride_len": cfg.stride_len, "filter_name": "hann",
-            "trained_at": None}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_version_1, as_version_2, centroid_matrix
+from conftest import centroid_matrix
 from theftdetect.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
@@ -81,10 +81,9 @@ def test_train_uses_only_owner_training_trips(pipeline):
     segments = 14 * len(train_ids)
     for path in (pipeline / "models").glob("codebook_*.json"):
         doc = json.loads(path.read_text())
-        meta = doc["training_meta"]
-        assert set(meta["trip_ids"]) == train_ids
-        assert meta["segment_count"] == segments
-        assert meta["iterations"] >= 1
+        assert set(doc["trip_ids"]) == train_ids
+        assert doc["segment_count"] == segments
+        assert doc["iterations"] >= 1
         assert doc["seed"] == 11
 
 
@@ -417,58 +416,72 @@ def test_bad_numeric_setting_is_config_error(pipeline, tmp_path, capsys, command
     assert not out.exists()
 
 
-def with_cell(value, version=3):
-    """A corruption that sets one centroid cell to ``value``, in the version 3 blob or,
-    at version 2, as a JSON value of the list of rows."""
+def with_cell(value):
+    """A corruption that sets one centroid cell to ``value`` in the base64 blob."""
     def corrupt(doc):
-        if version == 2:
-            doc.update(as_version_2(doc))
-            doc["centroids"][0][3] = value
-            return
         matrix = centroid_matrix(doc).copy()
         matrix[0, 3] = value
         doc["centroids"] = base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
     return corrupt
 
 
+META_KEYS = ("trip_ids", "segment_count", "iterations")
+OLD_VERSIONS = ["version-3", "version-5", "no-version", "version-true", "version-float"]
+
+
+def empty_training_meta(doc):
+    """Version 3's nested training_meta, empty, in place of the three flat keys."""
+    for key in META_KEYS:
+        del doc[key]
+    doc["training_meta"] = {}
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda doc: doc.update(format_version=4),
+    lambda doc: doc.update(format_version=3),
+    lambda doc: doc.update(format_version=5),
     lambda doc: doc.pop("format_version"),
     lambda doc: doc.update(format_version=True),
-    lambda doc: doc.update(format_version=2.0),
+    lambda doc: doc.update(format_version=4.0),
     lambda doc: doc.pop("sse"),
-    lambda doc: doc.pop("training_meta"),
+    lambda doc: [doc.pop(key) for key in META_KEYS],
     with_cell(math.nan),
     lambda doc: doc.update(sse=math.nan),
     lambda doc: doc.update(sse=math.inf),
+    lambda doc: doc.update(sse=10 ** 400),
     lambda doc: doc.update(sample_period_s=True),
     lambda doc: doc.update(window_s="32"),
     lambda doc: doc.update(stride_s=None),
     lambda doc: doc.update(window_s=10 ** 400),
-    # 40 rows of 32 values are not whole rows of 24
+    lambda doc: doc.update(window_s=1),
+    # 10 rows of 32 values are not 10 rows of 24
     lambda doc: doc.update(window_s=24.0),
+    # nor 20 rows of 16, though the bytes would fill them
+    lambda doc: doc.update(window_s=16.0),
+    lambda doc: doc.update(k=doc["k"] + 1),
+    lambda doc: doc.update(k=0),
+    lambda doc: doc.update(k=True),
+    lambda doc: doc.pop("k"),
     lambda doc: doc.update(centroids=""),
     lambda doc: doc.update(seed=-1),
     lambda doc: doc.update(seed=7.0),
-    lambda doc: doc["training_meta"].update(segment_count="many"),
-    lambda doc: doc["training_meta"].update(iterations=-3),
+    lambda doc: doc.update(segment_count="many"),
+    lambda doc: doc.update(iterations=-3),
     with_cell(math.inf),
     lambda doc: doc.update(centroids=centroid_matrix(doc).tolist()),
     lambda doc: doc.update(centroids=doc["centroids"][:-4] + "!!!!"),
     lambda doc: doc.update(centroids=base64.b64encode(base64.b64decode(doc["centroids"])[:-8]).decode()),
-    with_cell("1.5", version=2),
-    with_cell(True, version=2),
-    lambda doc: doc.update(training_meta={}),
-    lambda doc: doc["training_meta"].pop("trip_ids"),
-    lambda doc: doc["training_meta"].pop("segment_count"),
-    lambda doc: doc["training_meta"].pop("iterations"),
-], ids=["version-4", "no-version", "version-true", "version-float", "no-sse", "no-training-meta",
-        "centroid-nan", "sse-nan", "sse-inf", "period-bool", "window-string", "stride-null",
-        "window-huge-int", "centroid-width", "no-centroids", "seed-negative", "seed-float",
-        "segment-count-string", "iterations-negative", "centroid-inf", "centroids-list",
-        "blob-not-base64", "blob-byte-count", "centroid-string", "centroid-bool",
-        "training-meta-empty", "no-trip-ids", "no-segment-count", "no-iterations"])
-def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
+    empty_training_meta,
+    lambda doc: doc.pop("trip_ids"),
+    lambda doc: doc.update(trip_ids=["A_trip001", 3]),
+    lambda doc: doc.pop("segment_count"),
+    lambda doc: doc.pop("iterations"),
+], ids=OLD_VERSIONS + [
+    "no-sse", "no-training-meta", "centroid-nan", "sse-nan", "sse-inf", "sse-huge-int", "period-bool",
+    "window-string", "stride-null", "window-huge-int", "window-one-sample", "centroid-width",
+    "window-divisor", "k-mismatch", "k-zero", "k-bool", "no-k", "no-centroids", "seed-negative",
+    "seed-float", "segment-count-string", "iterations-negative", "centroid-inf", "centroids-list",
+    "blob-not-base64", "blob-byte-count", "training-meta-empty", "no-trip-ids", "trip-id-int", "no-segment-count", "no-iterations"])
+def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, request, corrupt):
     models = tmp_path / "models"
     shutil.copytree(pipeline / "models", models)
     # every book alike, so load_models' mixed-config check cannot catch it instead
@@ -480,7 +493,9 @@ def test_malformed_codebook_is_data_error(pipeline, tmp_path, capsys, corrupt):
     out = tmp_path / "out"
     assert run("detect", "--models", str(models), "--out", str(out),
                "--trip", str(pipeline / "corpus" / trip["file"])) == EXIT_DATA
-    assert capsys.readouterr().err.startswith("data error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {min(models.glob('codebook_*.json'))}")
+    assert ("run `train` again" in err) == (request.node.callspec.id in OLD_VERSIONS)
     assert not out.exists()
 
 
@@ -658,7 +673,7 @@ def test_unreadable_input_file_is_data_error(pipeline, tmp_path, capsys, case):
 @pytest.mark.parametrize("corrupt", [
     lambda doc, other: other,
     lambda doc, other: {**doc, "feature": [doc["feature"]]},
-    lambda doc, other: {**doc, "training_meta": {**doc["training_meta"], "trip_ids": 3}},
+    lambda doc, other: {**doc, "trip_ids": 3},
 ], ids=["other-model-copied-over", "feature-list", "trip-ids-int"])
 def test_codebook_must_match_its_file_name(pipeline, tmp_path, capsys, corrupt):
     """A codebook whose feature is not the one its file is named after, or whose trip
@@ -839,43 +854,6 @@ def test_detect_parses_only_the_model_columns(pipeline, tmp_path, capsys):
     assert codes == {"clean": EXIT_OK, "unread-text": EXIT_OK, "short-row": EXIT_DATA}
     assert reports["unread-text"] == reports["clean"] != [] and reports["short-row"] == []
     assert "line 6 has 8 cells, expected 9" in capsys.readouterr().err
-
-
-def test_detect_over_version_1_codebooks_writes_the_same_bytes(pipeline, tmp_path):
-    """Version 1 codebooks, which also store k, window_len, stride_len, filter_name and
-    trained_at, and version 2 codebooks, centroids as JSON lists of rows, score a trip
-    exactly as the version 3 codebooks they equal."""
-    entry = next(t for t in load_manifest(pipeline / "corpus")["trips"] if t["role"] == "val-splice")
-    reports = []
-    for older in (None, as_version_1, as_version_2):
-        models = pipeline / "models"
-        if older is not None:
-            models = tmp_path / older.__name__
-            shutil.copytree(pipeline / "models", models)
-            for path in models.glob("codebook_*.json"):
-                path.write_text(json.dumps(older(json.loads(path.read_text())), indent=2))
-        out = tmp_path / f"out_{models.name}"
-        assert run("detect", "--models", str(models), "--out", str(out),
-                   "--trip", str(pipeline / "corpus" / entry["file"])) == EXIT_OK
-        reports.append((out / f"detection_{entry['trip_id']}.json").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
-
-
-def test_detect_over_committed_version_2_models_writes_the_golden_reports(tmp_path):
-    """``tests/golden/smoke_models_v2`` holds the models directory a version 2 writer
-    made in the smoke run; scoring every validation trip over it writes the bytes whose
-    digests ``tests/golden/smoke_seed7.json`` records."""
-    golden = Path(__file__).parent / "golden"
-    digests = json.loads((golden / "smoke_seed7.json").read_text())
-    corpus, out = tmp_path / "corpus", tmp_path / "out"
-    assert run("synth", "--data", str(corpus), "--seed", "7", "--trips", "2", "--duration", "120") == EXIT_OK
-    scored = [t for t in load_manifest(corpus)["trips"] if t["role"].startswith("val-")]
-    assert scored
-    for trip in scored:
-        assert run("detect", "--models", str(golden / "smoke_models_v2"), "--out", str(out),
-                   "--trip", str(corpus / trip["file"])) == EXIT_OK
-        report = (out / f"detection_{trip['trip_id']}.json").read_bytes()
-        assert hashlib.sha256(report).hexdigest() == digests[f"out/detection_{trip['trip_id']}.json"]
 
 
 def test_trip_shorter_than_a_detection_window_names_the_trip(pipeline, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_version_1, as_version_2, fit_codebook, make_windows
+from conftest import centroid_matrix, fit_codebook, make_windows
 from theftdetect import DataError, InfeasibleKError
 from theftdetect.cluster import (
     ASSIGN_CHUNK,
@@ -193,11 +194,11 @@ def test_codebook_json_round_trip_bit_faithful(tmp_path):
     assert training_meta(loaded) == training_meta(cb)
     doc = json.loads(path.read_text())
     assert set(doc) == {
-        "format_version", "feature", "sample_period_s", "window_s", "stride_s",
-        "centroids", "sse", "seed", "training_meta",
+        "format_version", "feature", "sample_period_s", "window_s", "stride_s", "k",
+        "centroids", "sse", "seed", "trip_ids", "segment_count", "iterations",
     }
     # 4 rows of 8 little-endian float64, base64-encoded: 256 bytes in 344 characters
-    assert doc["format_version"] == 3
+    assert (doc["format_version"], doc["k"]) == (4, 4)
     assert doc["centroids"] == base64.b64encode(cb.centroids.astype("<f8").tobytes()).decode("ascii")
     assert len(doc["centroids"]) == 344
 
@@ -207,33 +208,40 @@ def test_codebook_json_round_trip_bit_faithful(tmp_path):
     st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]),
     min_size=6, max_size=30))
 @example(window_len=2, cells=[-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308])
-def test_version_3_round_trip_is_bit_exact(tmp_path_factory, window_len, cells):
+def test_version_4_round_trip_is_bit_exact(tmp_path_factory, window_len, cells):
     k = len(cells) // window_len
     cfg = WindowConfig(sample_period_s=1.0, window_s=float(window_len), stride_s=1.0)
     cb = Codebook(feature="f", centroids=np.array(cells[: k * window_len]).reshape(k, window_len),
                   sse=0.5, cfg=cfg, trip_ids=("t",), segment_count=k, iterations=1, seed=0)
-    path = tmp_path_factory.mktemp("v3") / "codebook_f.json"
+    path = tmp_path_factory.mktemp("v4") / "codebook_f.json"
     save_codebook(cb, path)
+    assert json.loads(path.read_text())["k"] == k
     loaded = load_codebook(path)
     assert loaded.centroids.dtype == np.float64 and loaded.centroids.shape == (k, window_len)
     assert loaded.centroids.tobytes() == cb.centroids.tobytes()
 
 
-def test_version_1_codebook_loads_to_the_same_codebook(tmp_path):
-    """Version 1 and version 2 files, centroids as JSON lists of rows, load to the
-    codebook that version 3 stores."""
+def test_older_codebook_versions_ask_for_train_again(tmp_path):
+    """Version 3 files (no k, the training counts under training_meta), version 2 files
+    (centroids as JSON lists of rows) and version 1 files (five more derived keys) are
+    rejected, naming the file and asking for ``train`` again."""
     rng = np.random.default_rng(10)
     cfg = WindowConfig(sample_period_s=2.0, window_s=12.0, stride_s=6.0)
     cb = fit_codebook(make_windows(rng, 15, 6), 3, cfg, seed=4, feature="speed", trip_ids=("t1",))
     path = tmp_path / "codebook_speed.json"
     save_codebook(cb, path)
-    v3 = json.loads(path.read_text())
-    for older in (as_version_1, as_version_2):
-        path.write_text(json.dumps(older(v3)))
-        loaded = load_codebook(path)
-        assert loaded.centroids.tobytes() == cb.centroids.tobytes()
-        assert (loaded.feature, loaded.sse, loaded.cfg) == (cb.feature, cb.sse, cb.cfg)
-        assert training_meta(loaded) == training_meta(cb)
+    v4 = json.loads(path.read_text())
+    meta = {key: v4.pop(key) for key in ("trip_ids", "segment_count", "iterations")}
+    k = v4.pop("k")
+    v3 = {**v4, "format_version": 3, "training_meta": meta}
+    v2 = {**v3, "format_version": 2, "centroids": centroid_matrix(v3).tolist()}
+    v1 = {**v2, "format_version": 1, "k": k, "window_len": 6, "stride_len": 3,
+          "filter_name": "hann", "trained_at": None}
+    for older in (v1, v2, v3):
+        path.write_text(json.dumps(older))
+        message = f"{path} is not a format version 4 codebook (format_version {older['format_version']})"
+        with pytest.raises(DataError, match="^" + re.escape(message + "; run `train` again")):
+            load_codebook(path)
 
 
 def exact_search(x, centroids, chunk=16):

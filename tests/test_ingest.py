@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -157,6 +158,8 @@ def parsed_or_error(path, columns=None):
 @example(case=("a,b\n1,2\n\n3,4\n", ["a", "b"], [["1", "2"], "", ["3", "4"]], ["a"]))
 @example(case=("a,b\n1,2\r3,4\n", ["a", "b"], [["1", "2"], ["3", "4"]], ["a"]))
 @example(case=('a,b\n"1",2\n', ["a", "b"], [['"1"', "2"]], ["a"]))
+@example(case=("a,timestamp,c\n1,0,2\n1,2,x\n", ["a", "timestamp", "c"], [["1", "0", "2"], ["1", "2", "x"]],
+               ["a"])).via("bad timestamps and an unkept non-numeric cell")
 def test_parse_trip_columns_matches_the_full_parse(case):
     """Parsing only some columns gives every kept column the full parse's float64
     bits, or the full parse's error. The one difference: a cell of a column not
@@ -226,7 +229,7 @@ def test_catalog_missing_flag():
         driver_stats(np.array([1.0, math.nan, 2.0, 3.0])),
         [2.0, np.std([1.0, 2.0, 3.0]), 1.0, 1.5, 2.0, 2.5, 3.0],
     )
-    reasons = reasons_of(trip("A", "t1", f=[1.0, math.nan]), trip("A", "t2", f=[2.0, 3.0]))
+    reasons = reasons_of(trip("A", "t1", f=[1.0, math.nan]), trip("B", "t2", f=[2.0, 3.0]))
     assert reasons["f"] == "missing-value"
 
 
@@ -272,9 +275,20 @@ def test_rule_indifference_constant_everywhere():
 
 
 def test_rule2_skipped_single_driver():
-    # with one driver the indifference rule is skipped; a constant scores 0
-    reasons = reasons_of(trip("A", "t1", f=[5.0, 5.0]))
-    assert reasons["f"] == "statistical-reject"
+    """Indifference and separation compare drivers, so one driver's trips are a data
+    error naming the driver, not features kept by name."""
+    trips = [trip("A", "t1", f=[5.0, 5.0], g=[1.0, 2.0]), trip("A", "t2", f=[5.0, 6.0], g=[3.0, 1.0])]
+    with pytest.raises(DataError, match="every trip is of driver 'A'; add catalog trips of other drivers"):
+        select_essential(trips)
+
+
+@settings(max_examples=40, deadline=None)
+@given(driver=st.text(min_size=1, max_size=4),
+       series=st.lists(st.lists(st.floats(), min_size=1, max_size=8), min_size=1, max_size=4))
+def test_one_drivers_trips_are_a_data_error(driver, series):
+    """Any set of trips from one driver, whatever their values, fails selection."""
+    with pytest.raises(DataError, match=f"every trip is of driver {re.escape(repr(driver))};"):
+        select_essential([trip(driver, f"t{i}", f=f) for i, f in enumerate(series)])
 
 
 def test_rules_order_independent():

@@ -1,8 +1,10 @@
 import csv
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
+import numpy
 import pytest
 
 from theftdetect.cli import EXIT_DATA, EXIT_OK, main
@@ -107,4 +109,5 @@ def test_golden_digests_match_the_smoke_run(tmp_path):
     expected = json.loads(golden.GOLDEN.read_text())
     actual = golden.smoke_digests(tmp_path)
     differing = golden.first_difference(expected, actual)
-    assert differing is None, f"first file, in pipeline order, whose bytes differ: {differing}"
+    assert differing is None, (f"first file, in pipeline order, whose bytes differ: {differing} "
+                               f"(numpy {numpy.__version__}, python {platform.python_version()})")
