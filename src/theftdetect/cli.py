@@ -126,23 +126,30 @@ def train_codebooks(
 ) -> dict[str, Codebook]:
     """One codebook per essential feature, windowed at the trips' sample period; bad
     windows (``feature_windows``), or windows too wide to cluster, are a data error
-    naming the feature."""
+    naming the feature. Every feature is checked, in order, before one
+    ``kmeans_fit`` fits them all."""
     wcfg = WindowConfig(owner_trips[0].sample_period_s, cfg.window_s, cfg.stride_s)
-    books: dict[str, Codebook] = {}
-    trip_ids = tuple(t.trip_id for t in owner_trips)
+    windows, ks = [], []
     for feature in essential:
-        windows = feature_windows(owner_trips, feature, wcfg)
+        windows.append(feature_windows(owner_trips, feature, wcfg))
         try:
-            centroids, sse, iterations = cluster.kmeans_fit(windows, cfg.k, cfg.seed, cfg.restarts)
+            ks.append(cluster.feasible_k(windows[-1], cfg.k))
         except InfeasibleKError:
             raise
         except DataError as exc:
             raise DataError(f"feature {feature!r}: {exc}") from None
-        books[feature] = Codebook(
+    # every feature's windows come from the same trips, so they stack; the list
+    # goes, so each window is held once
+    windows = np.stack(windows)
+    fits = cluster.kmeans_fit(windows, ks, cfg.seed, cfg.restarts)
+    trip_ids = tuple(t.trip_id for t in owner_trips)
+    return {
+        feature: Codebook(
             feature=feature, centroids=centroids, sse=sse, cfg=wcfg,
-            trip_ids=trip_ids, segment_count=len(windows), iterations=iterations, seed=cfg.seed,
+            trip_ids=trip_ids, segment_count=windows.shape[1], iterations=iterations, seed=cfg.seed,
         )
-    return books
+        for feature, (centroids, sse, iterations) in zip(essential, fits)
+    }
 
 
 def trip_model_verdicts(trip: TripLog, books: dict[str, Codebook]) -> np.ndarray:

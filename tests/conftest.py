@@ -3,7 +3,7 @@ import base64
 import numpy as np
 from hypothesis import settings
 
-from theftdetect.cluster import DEFAULT_RESTARTS, Codebook, kmeans_fit
+from theftdetect.cluster import DEFAULT_RESTARTS, Codebook, feasible_k, kmeans_fit
 from theftdetect.windowing import WindowConfig
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a red
@@ -15,9 +15,15 @@ def make_windows(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
     return rng.normal(size=(n, length))
 
 
+def fit_one(x, k, seed=0, restarts=DEFAULT_RESTARTS):
+    """``(centroids, sse, iterations)`` of ``kmeans_fit`` over the one matrix ``x``,
+    its k checked (a None settled) by ``feasible_k`` first."""
+    return kmeans_fit(np.asarray(x)[None], [feasible_k(x, k)], seed, restarts)[0]
+
+
 def fit_codebook(windows, k, cfg, seed=0, restarts=DEFAULT_RESTARTS, feature="f", trip_ids=()):
     """A codebook of ``kmeans_fit`` centroids over ``windows``, as ``cli.train_codebooks`` builds one."""
-    centroids, sse, iterations = kmeans_fit(windows, k, seed, restarts=restarts)
+    centroids, sse, iterations = fit_one(windows, k, seed, restarts)
     return Codebook(
         feature=feature, centroids=centroids, sse=sse, cfg=cfg,
         trip_ids=tuple(trip_ids), segment_count=len(windows), iterations=iterations, seed=seed,

@@ -95,9 +95,9 @@ def test_kmeans_properties_1000_segments():
     with criterion("k-means properties on 1,000 random segments"):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1000, 16))
-        init = x[rng.choice(1000, 12, replace=False)]
-        centroids, labels, _, _, trace = cluster.lloyd(
-            x, init, *cluster._assign_all(x, init), max_iter=200, tol=0.0
+        seeds = rng.choice(1000, 12, replace=False)[None]
+        (centroids,), (labels,), _, _, (trace,) = cluster.lloyd(
+            x, seeds, *cluster._assign_all(x, x[seeds]), max_iter=200, tol=0.0
         )
         assert all(a >= b for a, b in zip(trace, trace[1:])), "SSE increased"
         for i in range(1000):
@@ -108,7 +108,7 @@ def test_kmeans_properties_1000_segments():
             if len(members):
                 assert np.max(np.abs(centroids[j] - members.mean(axis=0))) <= 1e-9
 
-        _, sse, _ = cluster.kmeans_fit(x, 1000, seed=0, restarts=1)
+        (_, sse, _), = cluster.kmeans_fit(x[None], [cluster.feasible_k(x, 1000)], seed=0, restarts=1)
         assert sse <= 1e-18
 
 

@@ -15,15 +15,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import centroid_matrix
+from test_cluster import sequential_fit
 from theftdetect.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
+    feature_windows,
+    load_corpus_trips,
     main,
 )
-from theftdetect.cluster import load_codebook
+from theftdetect.cluster import feasible_k, load_codebook
 from theftdetect.detect import windows_verdicts
 from theftdetect.synth import load_manifest
 
@@ -986,3 +989,60 @@ def test_train_non_finite_or_overflowing_sample_fails_closed(
             if book.exists():  # a huge cell no window weighs: at a hann end or past the last window
                 assert value in ("1e308", "-1e308")
                 load_codebook(book)  # finite centroids and sse
+
+
+def copy_and_edit(small_corpus, tmp, edits):
+    """A copy of the small corpus and its models directory in which ``edits[feature]``
+    maps the index of an owner training trip to a function rewriting that trip's
+    column of the feature (a list of cells)."""
+    corpus, models = Path(tmp) / "corpus", Path(tmp) / "models"
+    shutil.copytree(small_corpus / "corpus", corpus)
+    shutil.copytree(small_corpus / "models", models)
+    entries = [t for t in load_manifest(corpus)["trips"] if t["role"] == "train"]
+    for feature, by_trip in edits.items():
+        for index, edit in by_trip.items():
+            path = corpus / entries[index]["file"]
+            with open(path, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            column = edit([row[header.index(feature)] for row in rows])
+            for row, cell in zip(rows, column):
+                row[header.index(feature)] = cell
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+    return corpus, models
+
+
+def test_train_default_k_fits_every_feature_as_if_alone(small_corpus, tmp_path):
+    """Without --k, each feature's k is 300 capped at its distinct windows: one
+    feature, constant within each trip, has 2 and the rest 12, all fitted in one
+    lock-step call. Every codebook equals its feature's sequential fit."""
+    essential = json.loads((small_corpus / "models" / "features.json").read_text())["essential"]
+    corpus, models = copy_and_edit(small_corpus, tmp_path, {
+        essential[1]: {0: lambda cells: ["1.5"] * len(cells), 1: lambda cells: ["-2.0"] * len(cells)},
+    })
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("train", "--data", str(corpus), "--out", str(models), "--restarts", "3") == EXIT_OK
+    manifest, trips = load_corpus_trips(corpus, roles={"train"}, columns=essential)
+    owner_trips = [t for e, t in trips if e["driver_id"] == manifest["owner"]]
+    ks = []
+    for feature in essential:
+        cb = load_codebook(models / f"codebook_{feature}.json")
+        x = feature_windows(owner_trips, feature, cb.cfg)
+        ks.append(feasible_k(x, None))
+        centroids, sse, iterations = sequential_fit(x, ks[-1], cb.seed, 3)
+        assert cb.centroids.tobytes() == centroids.tobytes()
+        assert (cb.sse, cb.iterations) == (sse, iterations)
+    assert ks == [12, 2, 12, 12, 12]
+
+
+def test_train_checks_every_feature_in_order_before_fitting(small_corpus, tmp_path, capsys):
+    """The first feature's --k exceeds its distinct windows and the second has a NaN
+    sample: train reports the first feature's infeasible k, exit 3."""
+    essential = json.loads((small_corpus / "models" / "features.json").read_text())["essential"]
+    corpus, models = copy_and_edit(small_corpus, tmp_path, {
+        essential[0]: {0: lambda cells: ["1.5"] * len(cells), 1: lambda cells: ["1.5"] * len(cells)},
+        essential[1]: {0: lambda cells: cells[:5] + ["nan"] + cells[6:]},
+    })
+    code = run("train", "--data", str(corpus), "--out", str(models), "--k", "5", "--restarts", "1")
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible model: k=5 exceeds distinct segment count 1\n"
